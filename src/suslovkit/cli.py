@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SuslovParams, energy, load_params
+from .core import SuslovParams, energy, load_params, vector_field
 from .equilibria import classify
 from .fields import example2d, example2d_density, DensitySpec
 from .flow import (
@@ -37,7 +37,6 @@ from .measures import (
     positive_c1_measure_exists,
     residual_sweep,
 )
-from .core import vector_field
 
 SCHEMA_VERSION = 1
 
@@ -254,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if doc["pass"] else 1
 
 
-def _uniform_density(dim: int) -> DensitySpec:
+def _uniform_density() -> DensitySpec:
     return DensitySpec(
         eval=lambda x: np.ones(np.asarray(x).shape[:-1]),
         zero_set_description="empty (constant density)",
@@ -275,7 +274,7 @@ def cmd_transport(args: argparse.Namespace) -> int:
         label = "suslov"
         params_doc = params.to_dict()
         if args.density == "uniform":
-            dens = _uniform_density(3)
+            dens = _uniform_density()
         else:
             dens = density_spec(params, density_params(params))
         box = np.array([[0.8, 1.2]] * 3)

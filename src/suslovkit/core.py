@@ -146,34 +146,30 @@ def matrices(params: SuslovParams) -> SystemMatrices:
     return SystemMatrices(Ka=Ka, Ba=Ba, Ka_inv=Ka_inv, detKa=d2 * l3)
 
 
-def hat(v: Array) -> Array:
-    """Cross-product matrices: hat(v) @ w = v x w, vectorized over (..., 3)."""
-    v = np.asarray(v, dtype=float)
-    H = np.zeros(v.shape[:-1] + (3, 3))
-    H[..., 0, 1] = -v[..., 2]
-    H[..., 0, 2] = v[..., 1]
-    H[..., 1, 0] = v[..., 2]
-    H[..., 1, 2] = -v[..., 0]
-    H[..., 2, 0] = -v[..., 1]
-    H[..., 2, 1] = v[..., 0]
-    return H
-
-
 def vector_field(params: SuslovParams) -> VectorFieldSpec:
-    """The reduced field X(Omega) = Ka^{-1} ((Ba Omega) x Omega) with its
-    analytic Jacobian J(Omega) = Ka^{-1} (hat(Ba Omega) - hat(Omega) Ba)."""
+    """The reduced field X(Omega) = Ka^{-1} ((Ba Omega) x Omega) as the
+    quadratic form X_i = Q_ijk O_j O_k of one tensor
+
+        Q_ijk = sum_lm (Ka^{-1})_il eps_lmk (Ba)_mj,
+
+    with Jacobian J_ij = (Q_ijk + Q_ikj) O_k, linear in Omega."""
     mats = matrices(params)
-    Ba_T = mats.Ba.T.copy()
-    Kinv_T = mats.Ka_inv.T.copy()
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    Q = np.einsum("il,lmk,mj->ijk", mats.Ka_inv, eps, mats.Ba)
+    # S[k, 3 i + j] = Q_ijk + Q_ikj, so J(Omega) is one (.., 3) @ (3, 9) product
+    S = (Q + Q.transpose(0, 2, 1)).transpose(2, 0, 1).reshape(3, 9).copy()
 
     def evaluate(omega: Array) -> Array:
         omega = np.asarray(omega, dtype=float)
-        return np.cross(omega @ Ba_T, omega) @ Kinv_T
+        # einsum keeps each batch row bit-equal to the single-point call;
+        # a matmul form rounds one-row products differently
+        return np.einsum("ijk,...j,...k->...i", Q, omega, omega)
 
     def jacobian(omega: Array) -> Array:
         omega = np.asarray(omega, dtype=float)
-        inner = hat(omega @ Ba_T) - hat(omega) @ mats.Ba
-        return mats.Ka_inv @ inner
+        return (omega @ S).reshape(omega.shape[:-1] + (3, 3))
 
     return VectorFieldSpec(dim=3, eval=evaluate, jac=jacobian)
 
@@ -194,19 +190,21 @@ def multiplier_zeta(params: SuslovParams, omega: Array) -> Array:
     return -params.K3 * (params.a1 * X[..., 0] + params.a2 * X[..., 1])
 
 
-def divergence_analytic(params: SuslovParams, omega: Array) -> Array:
-    """Closed-form divergence of the reduced field,
+def _divergence_covector(params: SuslovParams) -> tuple[float, float, float]:
+    """Coefficients c of the linear divergence, div X = <c, Omega>:
 
-        div X = (lam3 K3 / det Ka) (-a2 lam1 O1 + a1 lam2 O2 + a1 a2 (lam1 - lam2) O3),
-
-    identically zero exactly when a1 = a2 = 0.
+        c = (lam3 K3 / det Ka) (-a2 lam1, a1 lam2, a1 a2 (lam1 - lam2)).
     """
-    omega = np.asarray(omega, dtype=float)
     l1, l2, l3 = params.lam
     a1, a2 = params.a1, params.a2
     pref = l3 * params.K3 / matrices(params).detKa
-    return pref * (
-        -a2 * l1 * omega[..., 0]
-        + a1 * l2 * omega[..., 1]
-        + a1 * a2 * (l1 - l2) * omega[..., 2]
-    )
+    return (pref * -a2 * l1, pref * a1 * l2, pref * a1 * a2 * (l1 - l2))
+
+
+def divergence_analytic(params: SuslovParams, omega: Array) -> Array:
+    """Closed-form divergence of the reduced field, <c, Omega> with the
+    covector c of _divergence_covector; identically zero exactly when
+    a1 = a2 = 0."""
+    omega = np.asarray(omega, dtype=float)
+    c1, c2, c3 = _divergence_covector(params)
+    return c1 * omega[..., 0] + c2 * omega[..., 1] + c3 * omega[..., 2]

@@ -71,17 +71,7 @@ def fd_jacobian(f: Callable[[Array], Array], x: Array, h: Array | None = None) -
 
 def fd_gradient(f: Callable[[Array], Array], x: Array, h: Array | None = None) -> Array:
     """Central-difference gradient of a scalar-valued vectorized map."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = fd_step(x)
-    dim = x.shape[-1]
-    parts = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        hj = h[..., j]
-        parts.append((f(x + hj[..., None] * e) - f(x - hj[..., None] * e)) / (2.0 * hj))
-    return np.stack(parts, axis=-1)
+    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x, h)[..., 0, :]
 
 
 def fd_divergence(spec: VectorFieldSpec, x: Array) -> Array:
@@ -90,11 +80,15 @@ def fd_divergence(spec: VectorFieldSpec, x: Array) -> Array:
     return np.trace(J, axis1=-2, axis2=-1)
 
 
+def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
+    """The field's analytic Jacobian when it has one, else central differences."""
+    x = np.asarray(x, dtype=float)
+    return spec.jac(x) if spec.jac is not None else fd_jacobian(spec.eval, x)
+
+
 def divergence(spec: VectorFieldSpec, x: Array) -> Array:
     """Divergence of the field, analytic when a Jacobian is available."""
-    if spec.jac is not None:
-        return np.trace(spec.jac(np.asarray(x, dtype=float)), axis1=-2, axis2=-1)
-    return fd_divergence(spec, x)
+    return np.trace(_jacobian(spec, x), axis1=-2, axis2=-1)
 
 
 def example2d() -> VectorFieldSpec:

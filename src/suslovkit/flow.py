@@ -6,7 +6,7 @@ measure transport checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution, simpson
@@ -22,6 +22,24 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, t_last: float | None = None):
         super().__init__(message)
         self.t_last = t_last
+
+
+def _dop853_steps(
+    rhs: Callable[[float, Array], Array], t0: float, y0: Array, t1: float,
+    tol: float, atol: float, what: str,
+) -> Iterator[DOP853]:
+    """Step DOP853 from t0 to t1, yielding the solver after each accepted
+    step; a failed step raises IntegrationError labelled with what.
+
+    The consumer may reset solver.y and solver.f before the next step."""
+    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=atol)
+    while solver.status == "running":
+        msg = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(
+                f"{what} failed at t = {solver.t:.6g}: {msg}", t_last=solver.t
+            )
+        yield solver
 
 
 @dataclass(frozen=True)
@@ -122,17 +140,11 @@ def integrate(
         ncalls += 1
         return field.eval(y)
 
-    solver = DOP853(rhs, 0.0, x0, T, rtol=tol, atol=atol)
     ts = [0.0]
     states = [x0.copy()]
     interps = []
     n_extra = 0
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"integration failed at t = {solver.t:.6g}: {msg}", t_last=solver.t
-            )
+    for solver in _dop853_steps(rhs, 0.0, x0, T, tol, atol, "integration"):
         interps.append(solver.dense_output())
         if project is not None:
             solver.y = np.asarray(project(solver.y), dtype=float)
@@ -324,14 +336,10 @@ def flow_map_with_jacobian(
         return x0.copy(), np.eye(dim)
     aug = _augmented_field(field)
     y0 = np.concatenate([x0, np.eye(dim).ravel()])
-    solver = DOP853(lambda s, y: aug.eval(y), 0.0, y0, t, rtol=tol, atol=atol)
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"variational integration failed at t = {solver.t:.6g}: {msg}",
-                t_last=solver.t,
-            )
+    for solver in _dop853_steps(
+        lambda s, y: aug.eval(y), 0.0, y0, t, tol, atol, "variational integration"
+    ):
+        pass
     return solver.y[:dim].copy(), solver.y[dim:].reshape(dim, dim).copy()
 
 
@@ -370,16 +378,6 @@ def quat_mul(q: Array, r: Array) -> Array:
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
-
-
-def quat_to_matrix(q: Array) -> Array:
-    """Rotation matrix of a unit quaternion (scalar first)."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
 
 
@@ -437,16 +435,9 @@ def reconstruct(
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.append(g0 / nrm, float(theta0))
-    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=atol)
     ts = [t0]
     interps = []
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"attitude integration failed at t = {solver.t:.6g}: {msg}",
-                t_last=solver.t,
-            )
+    for solver in _dop853_steps(rhs, t0, y0, t1, tol, atol, "attitude integration"):
         interps.append(solver.dense_output())
         q = solver.y[:4]
         solver.y[:4] = q / np.linalg.norm(q)

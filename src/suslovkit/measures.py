@@ -12,20 +12,25 @@ integer making both exponents >= 1, so M is C1 and vanishes only on pi+-.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import SuslovParams, divergence_analytic, matrices, vector_field
+from .core import SuslovParams, _divergence_covector, divergence_analytic, vector_field
 from .fields import (
     Array,
     DensitySpec,
     FD_STEP_UNIT,
     VectorFieldSpec,
+    _jacobian,
     example2d,
     example2d_density,
     fd_gradient,
-    fd_jacobian,
 )
+
+#: rounds of a rejection sampler (each draws four times the quota) before it
+#: gives up; an exclusion radius near 1 rejects every point in the annulus
+_MAX_REJECTION_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,7 @@ def _plane_factors(dp: ClassADensityParams, omega: Array) -> tuple[Array, Array]
 
 def density_M(params: SuslovParams, dp: ClassADensityParams, omega: Array) -> Array:
     """Evaluate the stationary density M; exactly zero on the planes pi+-."""
-    u_plus, u_minus = _plane_factors(dp, omega)
-    return u_plus ** dp.exp_plus * np.abs(u_minus) ** dp.exp_minus
+    return density_spec(params, dp).eval(omega)
 
 
 def first_integral_F(params: SuslovParams, dp: ClassADensityParams, omega: Array) -> Array:
@@ -159,6 +163,21 @@ def plane_invariance_defect(
     return float(X[0] - xi * X[2])
 
 
+def _residual_and_scale(
+    field: VectorFieldSpec, density: DensitySpec, x: Array
+) -> tuple[Array, Array]:
+    """div(M X) and its local scale at x, evaluating grad M, X, M and J once."""
+    x = np.asarray(x, dtype=float)
+    grad_M, X, M = fd_gradient(density.eval, x), field.eval(x), density.eval(x)
+    J = _jacobian(field, x)
+    res = np.sum(grad_M * X, axis=-1) + M * np.trace(J, axis1=-2, axis2=-1)
+    scale = (
+        np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
+        + np.abs(M) * np.linalg.norm(J, axis=(-2, -1))
+    )
+    return res, np.maximum(scale, np.finfo(float).tiny * 1e20)
+
+
 def pde_residual(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Array:
     """Stationarity residual sum_i d(M X_i)/dx_i at x.
 
@@ -166,28 +185,19 @@ def pde_residual(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Arra
     gradient by central finite differences and the field divergence from the
     analytic Jacobian when available (halves the finite-difference error).
     """
-    x = np.asarray(x, dtype=float)
-    grad_M = fd_gradient(density.eval, x)
-    X = field.eval(x)
-    if field.jac is not None:
-        div_X = np.trace(field.jac(x), axis1=-2, axis2=-1)
-    else:
-        div_X = np.trace(fd_jacobian(field.eval, x), axis1=-2, axis2=-1)
-    return np.sum(grad_M * X, axis=-1) + density.eval(x) * div_X
+    return _residual_and_scale(field, density, x)[0]
 
 
 def residual_scale(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Array:
     """Local magnitude of grad(M X) used to normalize the residual:
     |X| |grad M| + |M| |J|_F, with a floor to keep ratios finite."""
-    x = np.asarray(x, dtype=float)
-    grad_M = fd_gradient(density.eval, x)
-    X = field.eval(x)
-    J = field.jac(x) if field.jac is not None else fd_jacobian(field.eval, x)
-    scale = (
-        np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
-        + np.abs(density.eval(x)) * np.linalg.norm(J, axis=(-2, -1))
-    )
-    return np.maximum(scale, np.finfo(float).tiny * 1e20)
+    return _residual_and_scale(field, density, x)[1]
+
+
+def _fd_exclusion(exponents: tuple[float, float], tol: float, safety: float) -> float:
+    """Exclusion radius for a density with these two factor exponents."""
+    C = max(abs((q - 1.0) * (q - 2.0)) for q in (*exponents, sum(exponents)))
+    return FD_STEP_UNIT * float(np.sqrt(C * safety / (6.0 * tol)))
 
 
 def exclusion_radius(
@@ -202,11 +212,28 @@ def exclusion_radius(
     tolerance (with a safety margin) gives the radius, in units of the
     finite-difference step at unit scale.
     """
-    q_plus, q_minus = dp.exp_plus, dp.exp_minus
-    C = max(
-        abs((q - 1.0) * (q - 2.0)) for q in (q_plus, q_minus, q_plus + q_minus)
-    )
-    return FD_STEP_UNIT * float(np.sqrt(C * safety / (6.0 * tol)))
+    return _fd_exclusion((dp.exp_plus, dp.exp_minus), tol, safety)
+
+
+def _rejection_sample(
+    seed: int, count: int, bound: float, dim: int,
+    keep: Callable[[Array], Array], excl: float,
+) -> Array:
+    """The first count uniform draws from the cube [-bound, bound]^dim that
+    pass keep; raises ValueError after _MAX_REJECTION_ROUNDS rounds."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    out: list[Array] = []
+    have = 0
+    while have < count:
+        if len(out) == _MAX_REJECTION_ROUNDS:
+            raise ValueError(
+                f"only {have} of {count} sample points clear the exclusion radius "
+                f"{excl:.3g} after {_MAX_REJECTION_ROUNDS} rounds"
+            )
+        x = rng.uniform(-bound, bound, size=(4 * count, dim))
+        out.append(x[keep(x)])
+        have += len(out[-1])
+    return np.concatenate(out)[:count]
 
 
 def sample_off_plane(
@@ -221,20 +248,18 @@ def sample_off_plane(
     of the planes pi+- (distances normalized by |Omega| (1 + |xi|))."""
     if excl is None:
         excl = exclusion_radius(dp)
-    rng = np.random.Generator(np.random.Philox(key=seed))
     lo, hi = norm_range
-    out: list[Array] = []
-    have = 0
-    while have < count:
-        w = rng.uniform(-hi, hi, size=(4 * count, 3))
+
+    def keep(w: Array) -> Array:
         nrm = np.linalg.norm(w, axis=1)
         u_plus, u_minus = _plane_factors(dp, w)
-        keep = (nrm > lo) & (nrm < hi)
-        keep &= np.abs(u_plus) > excl * nrm * (1.0 + abs(dp.xi_plus))
-        keep &= np.abs(u_minus) > excl * nrm * (1.0 + abs(dp.xi_minus))
-        out.append(w[keep])
-        have += int(keep.sum())
-    return np.concatenate(out)[:count]
+        return (
+            (nrm > lo) & (nrm < hi)
+            & (np.abs(u_plus) > excl * nrm * (1.0 + abs(dp.xi_plus)))
+            & (np.abs(u_minus) > excl * nrm * (1.0 + abs(dp.xi_minus)))
+        )
+
+    return _rejection_sample(seed, count, hi, 3, keep, excl)
 
 
 def residual_sweep(
@@ -254,8 +279,8 @@ def residual_sweep(
     dens = density_spec(params, dp, extra_power=extra_power)
     excl = exclusion_radius(dp, tol=tol)
     pts = sample_off_plane(params, dp, n_points, seed, excl=excl)
-    rel = np.abs(pde_residual(field, dens, pts)) / residual_scale(field, dens, pts)
-    worst = float(np.max(rel))
+    res, scale = _residual_and_scale(field, dens, pts)
+    worst = float(np.max(np.abs(res) / scale))
     return {
         "claim": "div(M X) = 0 off the invariant planes",
         "params": params.to_dict(),
@@ -304,22 +329,15 @@ def fixture2d_residual_sweep(n_points: int = 4096, seed: int = 0, tol: float = 1
     """Stationarity sweep for the plane fixture, M = |x1|^5 x2^2 against
     (dx1, dx2) = (-x1, 2 x2); same exclusion policy as the main density,
     with exponents 5 and 2 on the axes (joint degree 7 at the origin)."""
-    field = example2d()
-    dens = example2d_density()
-    C = max(abs((q - 1.0) * (q - 2.0)) for q in (5.0, 2.0, 7.0))
-    excl = FD_STEP_UNIT * float(np.sqrt(C * 10.0 / (6.0 * tol)))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out: list[Array] = []
-    have = 0
-    while have < n_points:
-        x = rng.uniform(-2.0, 2.0, size=(4 * n_points, 2))
+    excl = _fd_exclusion((5.0, 2.0), tol, safety=10.0)
+
+    def keep(x: Array) -> Array:
         guard = excl * np.maximum(1.0, np.linalg.norm(x, axis=1))
-        keep = (np.abs(x[:, 0]) > guard) & (np.abs(x[:, 1]) > guard)
-        out.append(x[keep])
-        have += int(keep.sum())
-    pts = np.concatenate(out)[:n_points]
-    rel = np.abs(pde_residual(field, dens, pts)) / residual_scale(field, dens, pts)
-    worst = float(np.max(rel))
+        return (np.abs(x[:, 0]) > guard) & (np.abs(x[:, 1]) > guard)
+
+    pts = _rejection_sample(seed, n_points, 2.0, 2, keep, excl)
+    res, scale = _residual_and_scale(example2d(), example2d_density(), pts)
+    worst = float(np.max(np.abs(res) / scale))
     return {
         "claim": "div(M X) = 0 off the coordinate axes (plane fixture)",
         "sample_count": int(n_points),
@@ -342,10 +360,7 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     w = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     w = w[np.linalg.norm(w, axis=1) <= 1.0]
     vals = np.abs(divergence_analytic(params, w))
-    l1, l2, l3 = params.lam
-    a1, a2 = params.a1, params.a2
-    pref = l3 * params.K3 / matrices(params).detKa
-    coef = pref * np.array([-a2 * l1, a1 * l2, a1 * a2 * (l1 - l2)])
+    coef = np.array(_divergence_covector(params))
     return {
         "claim": "div X vanishes identically iff a1 = a2 = 0",
         "params": params.to_dict(),

@@ -210,6 +210,15 @@ class TestVerify:
         doc = _load_report(out)
         assert doc["residual_check"]["max_residual"] <= 1e-8
 
+    def test_unsamplable_exclusion_is_an_error(self, tmp_path, capsys):
+        # gamma ~ 5.9e-4 gives n = 3417 and an exclusion radius of 26.7, but
+        # |O1 - xi O3| <= |Omega| (1 + |xi|), so no point can clear it
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"I1": 1.1, "I2": 1.0, "I3": 0.9, "K1": 0.0,
+                                 "K3": 20.0, "a1": 1.0, "a2": 0.0}))
+        assert main(["verify", "suslov", "--params", str(f)]) == 2
+        assert "exclusion radius 26.7" in capsys.readouterr().err
+
     def test_deterministic_report(self, params_file, tmp_path):
         pf = params_file("p", 1.0, 0.0)
         o1, o2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")

@@ -156,6 +156,26 @@ class TestVectorField:
             mom_rate = 2.0 * (m.Ka @ omega) @ (m.Ka @ f.eval(omega))
             assert abs(mom_rate) <= 1e-12 * max(1.0, np.sum(omega ** 2)) ** 2
 
+    def test_matches_cross_product_closed_forms(self, rng):
+        # X = Ka^-1 ((Ba W) x W) and J = Ka^-1 (hat(Ba W) - hat(W) Ba), with
+        # hat(v) w = v x w, built here independently of the quadratic tensor
+        def hat(v):
+            return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+        for _ in range(50):
+            p = draw_params(rng)
+            assert p.a2 != 0.0
+            f = vector_field(p)
+            m = matrices(p)
+            for omega in rng.normal(size=(5, 3)):
+                bw = m.Ba @ omega
+                X = m.Ka_inv @ np.cross(bw, omega)
+                J = m.Ka_inv @ (hat(bw) - hat(omega) @ m.Ba)
+                np.testing.assert_allclose(
+                    f.eval(omega), X, rtol=1e-13, atol=1e-14 * np.max(np.abs(X)))
+                np.testing.assert_allclose(
+                    f.jac(omega), J, rtol=1e-13, atol=1e-14 * np.max(np.abs(J)))
+
     def test_analytic_jacobian_matches_fd(self, pstar_full):
         f = vector_field(pstar_full)
         pts = np.random.default_rng(3).uniform(-2, 2, size=(100, 3))

@@ -69,6 +69,16 @@ class TestIntegrate:
             integrate(quad, np.array([1.0]), 2.0)
         assert exc.value.t_last == pytest.approx(1.0, abs=0.05)
 
+    def test_variational_blowup_reports_last_time(self):
+        quad = VectorFieldSpec(
+            dim=1,
+            eval=lambda x: x ** 2,
+            jac=lambda x: 2.0 * x[..., None],
+        )
+        with pytest.raises(IntegrationError, match="variational") as exc:
+            flow_map_with_jacobian(quad, np.array([1.0]), 2.0)
+        assert exc.value.t_last == pytest.approx(1.0, abs=0.05)
+
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0, 0.5]),
