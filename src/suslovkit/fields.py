@@ -74,10 +74,15 @@ def fd_gradient(f: Callable[[Array], Array], x: Array, h: Array | None = None) -
     return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x, h)[..., 0, :]
 
 
+def _trace(J: Array) -> Array:
+    """Trace over the last two axes; einsum is several times faster than
+    np.trace on large batches of small matrices, with identical sums."""
+    return np.einsum("...ii->...", J)
+
+
 def fd_divergence(spec: VectorFieldSpec, x: Array) -> Array:
     """Central-difference divergence (trace of the finite-difference Jacobian)."""
-    J = fd_jacobian(spec.eval, x)
-    return np.trace(J, axis1=-2, axis2=-1)
+    return _trace(fd_jacobian(spec.eval, x))
 
 
 def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
@@ -88,7 +93,7 @@ def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
 
 def divergence(spec: VectorFieldSpec, x: Array) -> Array:
     """Divergence of the field, analytic when a Jacobian is available."""
-    return np.trace(_jacobian(spec, x), axis1=-2, axis2=-1)
+    return _trace(_jacobian(spec, x))
 
 
 def example2d() -> VectorFieldSpec:

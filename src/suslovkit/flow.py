@@ -13,7 +13,7 @@ from scipy.integrate import DOP853, OdeSolution, simpson
 
 from .core import SuslovParams, divergence_analytic, energy, matrices, vector_field
 from .equilibria import equilibrium_directions, scale_to_ellipsoid
-from .fields import Array, DensitySpec, VectorFieldSpec
+from .fields import Array, DensitySpec, VectorFieldSpec, divergence
 
 
 class IntegrationError(RuntimeError):
@@ -608,6 +608,26 @@ def suslov_attractor_probe(
     )
 
 
+def _log_volume_flow(
+    field: VectorFieldSpec, x0: Array, t: float, tol: float, atol: float
+) -> tuple[Array, Array]:
+    """Endpoints phi_t(x0) of a batch and their log-volumes log|det D phi_t(x0)|,
+    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0."""
+    if field.jac is None:
+        raise ValueError("measure transport requires an analytic field Jacobian")
+    dim = field.dim
+
+    def evaluate(y: Array) -> Array:
+        x = y[..., :dim]
+        return np.concatenate([field.eval(x), divergence(field, x)[..., None]], axis=-1)
+
+    y0 = np.concatenate([x0, np.zeros((len(x0), 1))], axis=1)
+    y_end, _ = integrate_batch(
+        VectorFieldSpec(dim=dim + 1, eval=evaluate), y0, t, tol=tol, atol=atol
+    )
+    return y_end[:, :dim], y_end[:, dim]
+
+
 def measure_transport_check(
     field: VectorFieldSpec,
     density: DensitySpec,
@@ -623,8 +643,12 @@ def measure_transport_check(
 
     mu(A) is estimated directly from N uniform samples in the box A; the
     transported measure uses the change of variables
-    mu(phi_t(A)) = integral over A of M(phi_t(x)) |det D phi_t(x)| dx,
-    pushing a (possibly smaller) batch through the variational equations.
+    mu(phi_t(A)) = integral over A of M(phi_t(x)) |det D phi_t(x)| dx on the
+    first transport_samples of them (default min(N, 100000)). The volume
+    factor comes from Liouville's formula, log|det D phi_t(x)| = integral
+    from 0 to t of div X(phi_s(x)) ds, integrated as one extra state beside
+    x; the variational route of flow_map_with_jacobian is its test oracle.
+    Needs N >= 2 and 2 <= transport_samples <= N.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
@@ -633,6 +657,13 @@ def measure_transport_check(
     widths = A[:, 1] - A[:, 0]
     if np.any(widths <= 0.0):
         raise ValueError("box must have positive widths")
+    if N < 2:
+        raise ValueError(f"N must be at least 2 for a standard error, got {N}")
+    n_t = min(N, 100_000) if transport_samples is None else int(transport_samples)
+    if not 2 <= n_t <= N:
+        raise ValueError(
+            f"transport_samples must lie in [2, N] = [2, {N}], got {transport_samples}"
+        )
     vol = float(np.prod(widths))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = A[:, 0] + rng.uniform(size=(N, dim)) * widths
@@ -645,17 +676,8 @@ def measure_transport_check(
         mu_T, se_T = mu_A, se_A
         rel = 0.0
     else:
-        n_t = int(transport_samples) if transport_samples else min(N, 100_000)
-        x_T = pts[:n_t]
-        aug0 = np.concatenate(
-            [x_T, np.broadcast_to(np.eye(dim).ravel(), (n_t, dim * dim))], axis=1
-        )
-        y_end, _ = integrate_batch(_augmented_field(field), aug0, t, tol=tol, atol=atol)
-        x_end = y_end[:, :dim]
-        D_end = y_end[:, dim:].reshape(n_t, dim, dim)
-        weights = np.asarray(density.eval(x_end), dtype=float) * np.abs(
-            np.linalg.det(D_end)
-        )
+        x_end, log_vol = _log_volume_flow(field, pts[:n_t], t, tol=tol, atol=atol)
+        weights = np.asarray(density.eval(x_end), dtype=float) * np.exp(log_vol)
         mu_T = vol * float(np.mean(weights))
         se_T = vol * float(np.std(weights, ddof=1)) / np.sqrt(n_t)
         rel = (mu_T - mu_A) / mu_A if mu_A != 0.0 else np.inf

@@ -23,6 +23,7 @@ from .fields import (
     FD_STEP_UNIT,
     VectorFieldSpec,
     _jacobian,
+    _trace,
     example2d,
     example2d_density,
     fd_gradient,
@@ -170,7 +171,7 @@ def _residual_and_scale(
     x = np.asarray(x, dtype=float)
     grad_M, X, M = fd_gradient(density.eval, x), field.eval(x), density.eval(x)
     J = _jacobian(field, x)
-    res = np.sum(grad_M * X, axis=-1) + M * np.trace(J, axis1=-2, axis2=-1)
+    res = np.sum(grad_M * X, axis=-1) + M * _trace(J)
     scale = (
         np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
         + np.abs(M) * np.linalg.norm(J, axis=(-2, -1))
@@ -246,9 +247,11 @@ def sample_off_plane(
 ) -> Array:
     """Sample points in a norm annulus, rejecting the exclusion neighborhood
     of the planes pi+- (distances normalized by |Omega| (1 + |xi|))."""
+    lo, hi = norm_range
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"norm_range must satisfy 0 <= lo < hi, got {norm_range}")
     if excl is None:
         excl = exclusion_radius(dp)
-    lo, hi = norm_range
 
     def keep(w: Array) -> Array:
         nrm = np.linalg.norm(w, axis=1)

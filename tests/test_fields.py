@@ -8,6 +8,7 @@ from suslovkit.fields import (
     FD_STEP_UNIT,
     DensitySpec,
     VectorFieldSpec,
+    _trace,
     divergence,
     example1d,
     example2d,
@@ -125,3 +126,8 @@ def test_density_spec_rejects_unknown_class():
     with pytest.raises(ValueError):
         DensitySpec(eval=lambda x: 1.0, zero_set_description="none",
                     differentiability_class="C17")
+
+
+def test_trace_helper_bit_equal_to_np_trace():
+    J = np.random.default_rng(7).normal(size=(1000, 3, 3))
+    np.testing.assert_array_equal(_trace(J), np.trace(J, axis1=-2, axis2=-1))

@@ -8,6 +8,7 @@ from suslovkit.fields import VectorFieldSpec, example2d, example2d_density
 from suslovkit.flow import (
     IntegrationError,
     Trajectory,
+    _log_volume_flow,
     detect_attractor,
     flow_map_with_jacobian,
     integrate,
@@ -291,6 +292,46 @@ class TestMeasureTransport:
             vector_field(pstar), dens, np.array([[0.8, 1.2]] * 3),
             5.0, 40000, seed=9)
         assert rep.within_3se
+
+    @pytest.mark.parametrize("which", ["pstar", "pstar_full"])
+    def test_log_volume_matches_variational_slogdet(self, which, request):
+        # Liouville's log-volume at the transport's tolerances against the
+        # independent variational route
+        f = vector_field(request.getfixturevalue(which))
+        x0 = np.array([[0.9, 1.1, 1.0], [0.6, 0.4, 0.8], [-0.5, 0.2, 0.4],
+                       [0.3, -0.4, 0.5], [1.2, 0.8, -0.9]])
+        t = 5.0
+        x_end, log_vol = _log_volume_flow(f, x0, t, tol=1e-8, atol=1e-10)
+        for x, x_T, ell in zip(x0, x_end, log_vol):
+            y, D = flow_map_with_jacobian(f, x, t)
+            sign, logdet = np.linalg.slogdet(D)
+            assert sign == 1.0
+            assert abs(ell - logdet) <= 1e-8
+            assert np.max(np.abs(x_T - y)) <= 1e-8
+
+    def test_log_volume_of_unit_divergence_is_time(self):
+        x0 = np.array([[0.3, -1.1], [1.5, 0.2], [-0.7, 0.9]])
+        for t in (0.5, 1.5, -1.0):
+            _, log_vol = _log_volume_flow(example2d(), x0, t, tol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(log_vol, t, rtol=0.0, atol=1e-12)
+
+    def test_field_without_jacobian_rejected(self):
+        bare = VectorFieldSpec(dim=2, eval=example2d().eval)
+        with pytest.raises(ValueError, match="Jacobian"):
+            measure_transport_check(bare, example2d_density(),
+                                    np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, 100,
+                                    seed=1)
+
+    @pytest.mark.parametrize("N, transport_samples, what", [
+        (1, None, "N must be"),
+        (100, 500, "transport_samples"),
+        (100, 1, "transport_samples"),
+    ])
+    def test_sample_counts_validated(self, N, transport_samples, what):
+        with pytest.raises(ValueError, match=what):
+            measure_transport_check(example2d(), example2d_density(),
+                                    np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, N,
+                                    seed=1, transport_samples=transport_samples)
 
     def test_seed_reproducibility(self, pstar):
         dens = density_spec(pstar, density_params(pstar))

@@ -216,6 +216,12 @@ class TestExclusionRadius:
             norm = np.linalg.norm(pts, axis=1) * (1.0 + abs(xi))
             assert np.all(d / norm >= r * 0.999)
 
+    @pytest.mark.parametrize("norm_range", [(2.0, 0.3), (1.0, 1.0), (-0.5, 1.0)])
+    def test_empty_annulus_rejected(self, pstar, norm_range):
+        dp = density_params(pstar)
+        with pytest.raises(ValueError, match="norm_range"):
+            sample_off_plane(pstar, dp, 10, seed=0, norm_range=norm_range)
+
 
 class TestDivergenceWitness:
     def test_euler_supremum_zero(self, euler):
