@@ -162,9 +162,13 @@ def vector_field(params: SuslovParams) -> VectorFieldSpec:
     S = (Q + Q.transpose(0, 2, 1)).transpose(2, 0, 1).reshape(3, 9).copy()
 
     def evaluate(omega: Array) -> Array:
-        omega = np.asarray(omega, dtype=float)
-        # einsum keeps each batch row bit-equal to the single-point call;
-        # a matmul form rounds one-row products differently
+        # Column-major, the batch rows sit on einsum's innermost loop; C-order
+        # would put the three components there, several times slower. Points
+        # and column-major batches pass through uncopied. Layout changes only
+        # the loop order, not each row's products or the order they are
+        # summed in, so rows stay bit-equal to single-point calls; a matmul
+        # form rounds one-row products differently.
+        omega = np.asfortranarray(omega, dtype=float)
         return np.einsum("ijk,...j,...k->...i", Q, omega, omega)
 
     def jacobian(omega: Array) -> Array:

@@ -628,6 +628,12 @@ def _log_volume_flow(
     return y_end[:, :dim], y_end[:, dim]
 
 
+def _require_finite(values: Array, what: str) -> None:
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"{what} is not finite at {bad} of {values.size} samples")
+
+
 def measure_transport_check(
     field: VectorFieldSpec,
     density: DensitySpec,
@@ -648,7 +654,8 @@ def measure_transport_check(
     factor comes from Liouville's formula, log|det D phi_t(x)| = integral
     from 0 to t of div X(phi_s(x)) ds, integrated as one extra state beside
     x; the variational route of flow_map_with_jacobian is its test oracle.
-    Needs N >= 2 and 2 <= transport_samples <= N.
+    Needs N >= 2 and 2 <= transport_samples <= N. Raises ValueError when the
+    density at the box samples, or a transport weight, is not finite.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
@@ -668,6 +675,7 @@ def measure_transport_check(
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = A[:, 0] + rng.uniform(size=(N, dim)) * widths
     m_vals = np.asarray(density.eval(pts), dtype=float)
+    _require_finite(m_vals, "density M at the box samples")
     mu_A = vol * float(np.mean(m_vals))
     se_A = vol * float(np.std(m_vals, ddof=1)) / np.sqrt(N)
 
@@ -678,6 +686,7 @@ def measure_transport_check(
     else:
         x_end, log_vol = _log_volume_flow(field, pts[:n_t], t, tol=tol, atol=atol)
         weights = np.asarray(density.eval(x_end), dtype=float) * np.exp(log_vol)
+        _require_finite(weights, "transport weight M(x_end) * exp(l_end)")
         mu_T = vol * float(np.mean(weights))
         se_T = vol * float(np.std(weights, ddof=1)) / np.sqrt(n_t)
         rel = (mu_T - mu_A) / mu_A if mu_A != 0.0 else np.inf

@@ -261,6 +261,17 @@ class TestTransport:
         assert errs[0] < 0 and errs[1] < 0
         assert abs(errs[1]) > abs(errs[0])
 
+    def test_non_finite_density_is_an_error(self, tmp_path, capsys):
+        # n = 3417: M overflows at every box sample, so no report is written
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"I1": 1.1, "I2": 1.0, "I3": 0.9, "K1": 0.0,
+                                 "K3": 20.0, "a1": 1.0, "a2": 0.0}))
+        out = tmp_path / "t.json"
+        assert main(["transport", "suslov", "--params", str(f), "--T", "1",
+                     "--samples", "200", "--out", str(out)]) == 2
+        assert "density M at the box samples is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_box(self, params_file, tmp_path):
         out = str(tmp_path / "t.json")
         rc = main(["transport", "--params", params_file("p", 1.0, 0.0),

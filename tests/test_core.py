@@ -191,6 +191,26 @@ class TestVectorField:
         for k in range(7):
             np.testing.assert_array_equal(batch[k], f.eval(pts[k]))
 
+    def test_batch_rows_bit_equal_in_every_layout(self, rng):
+        # every memory layout of a large batch must give each row exactly
+        # the single-point result, wherever einsum puts its inner loop
+        for _ in range(4):
+            f = vector_field(draw_params(rng))
+            W = rng.normal(size=(6000, 3))
+            ref = np.array([f.eval(w) for w in W])
+            wide = np.concatenate([W, rng.normal(size=(6000, 1))], axis=1)
+            block = W.reshape(60, 100, 3)
+            layouts = {
+                "C-order": (W, ref),
+                "F-order": (np.asfortranarray(W), ref),
+                "strided": (wide[:, :3], ref),
+                "reversed": (W[::-1], ref[::-1]),
+                "block": (block, ref.reshape(60, 100, 3)),
+                "F-order block": (np.asfortranarray(block), ref.reshape(60, 100, 3)),
+            }
+            for name, (batch, expected) in layouts.items():
+                np.testing.assert_array_equal(f.eval(batch), expected, err_msg=name)
+
 
 class TestEnergy:
     def test_values(self, pstar):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from suslovkit.core import energy, validate, vector_field
-from suslovkit.fields import VectorFieldSpec, example2d, example2d_density
+from suslovkit.fields import DensitySpec, VectorFieldSpec, example2d, example2d_density
 from suslovkit.flow import (
     IntegrationError,
     Trajectory,
@@ -227,6 +227,19 @@ class TestBatchIntegrator:
         assert recs[0][0] == 3.5
         np.testing.assert_allclose(recs[1][1], Y, atol=1e-12)
 
+    def test_result_independent_of_input_layout(self, pstar_full, rng):
+        f = vector_field(pstar_full)
+        x0 = rng.normal(size=(2000, 3))
+        x0_f = np.asfortranarray(x0)
+        assert x0_f.flags.f_contiguous and not x0_f.flags.c_contiguous
+        (Y_c, rec_c), (Y_f, rec_f) = (
+            integrate_batch(f, x, 3.0, record_times=(1.0, 2.0)) for x in (x0, x0_f)
+        )
+        np.testing.assert_array_equal(Y_c, Y_f)
+        assert [t for t, _ in rec_c] == [t for t, _ in rec_f] == [1.0, 2.0]
+        for (_, snap_c), (_, snap_f) in zip(rec_c, rec_f):
+            np.testing.assert_array_equal(snap_c, snap_f)
+
     def test_rejects_bad_record_times(self, pstar):
         f = vector_field(pstar)
         with pytest.raises(ValueError):
@@ -332,6 +345,38 @@ class TestMeasureTransport:
             measure_transport_check(example2d(), example2d_density(),
                                     np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, N,
                                     seed=1, transport_samples=transport_samples)
+
+    def test_report_independent_of_field_input_layout(self, pstar):
+        # hand every stage state to the field's eval and jac C-ordered, then
+        # column-major: the report must not change
+        f = vector_field(pstar)
+        dens = density_spec(pstar, density_params(pstar))
+        reports = []
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            field = VectorFieldSpec(dim=3, eval=lambda x, g=layout: f.eval(g(x)),
+                                    jac=lambda x, g=layout: f.jac(g(x)))
+            reports.append(measure_transport_check(
+                field, dens, np.array([[0.8, 1.2]] * 3), 1.0, 2000, seed=3).to_dict())
+        assert reports[0] == reports[1]
+
+    def test_non_finite_density_rejected_before_integrating(self):
+        # gamma ~ 5.9e-4 gives n = 3417, and M overflows on the whole box
+        p = validate(1.1, 1.0, 0.9, 0.0, 20.0, a1=1.0, a2=0.0)
+        dens = density_spec(p, density_params(p))
+        with pytest.raises(ValueError, match="density M at the box samples is not finite"):
+            measure_transport_check(vector_field(p), dens, np.array([[0.8, 1.2]] * 3),
+                                    1.0, 200, seed=0)
+
+    def test_non_finite_transport_weight_rejected(self):
+        # exp(100 x2) is finite on the box x2 <= 2 but overflows once
+        # example2d's flow has carried x2 past e^2
+        dens = DensitySpec(eval=lambda x: np.exp(100.0 * x[..., 1]),
+                           zero_set_description="empty",
+                           differentiability_class="C1")
+        with pytest.raises(ValueError, match="transport weight .* is not finite"):
+            measure_transport_check(example2d(), dens,
+                                    np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, 200,
+                                    seed=1)
 
     def test_seed_reproducibility(self, pstar):
         dens = density_spec(pstar, density_params(pstar))
