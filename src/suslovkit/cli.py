@@ -40,6 +40,14 @@ from .measures import (
 
 SCHEMA_VERSION = 1
 
+_OPTION_HELP = {
+    "eta": "energy level",
+    "T": "time horizon",
+    "tol": "tolerance",
+    "samples": "sample count",
+    "seed": "random seed",
+}
+
 
 def _fmt(x: float) -> str:
     """Full-precision decimal so CSV values round-trip exactly."""
@@ -304,22 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, T: float, tol: float, samples: int) -> None:
+    def options(sp: argparse.ArgumentParser, **defaults: float) -> None:
+        """--params and --out, plus each named option with its default."""
         sp.add_argument("--params", help="JSON parameter file (I1,I2,I3,K1,K3,a1,a2[,a3])")
-        sp.add_argument("--eta", type=float, default=1.0, help="energy level")
-        sp.add_argument("--T", type=float, default=T, help="time horizon")
-        sp.add_argument("--tol", type=float, default=tol, help="tolerance")
-        sp.add_argument("--samples", type=int, default=samples, help="sample count")
-        sp.add_argument("--seed", type=int, default=0, help="random seed")
         sp.add_argument("--out", help="output path (directory for portrait)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        for name, default in defaults.items():
+            sp.add_argument(f"--{name}", type=type(default), default=default,
+                            help=_OPTION_HELP[name])
 
     sp = sub.add_parser("analyze", help="stability table and measure predicates")
-    common(sp, T=0.0, tol=1e-10, samples=0)
+    options(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("simulate", help="integrate one trajectory")
-    common(sp, T=100.0, tol=1e-10, samples=0)
+    options(sp, T=100.0, tol=1e-10, samples=0)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--omega0", required=True, help="initial angular velocity o1,o2,o3")
     sp.add_argument("--reconstruct", action="store_true",
                     help="also reconstruct attitude and rotor angle")
@@ -328,18 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("portrait", help="seeded trajectory family on an energy ellipsoid")
-    common(sp, T=40.0, tol=1e-10, samples=24)
+    options(sp, eta=1.0, T=40.0, tol=1e-10, samples=24, seed=0)
     sp.add_argument("--project-energy", action="store_true")
     sp.set_defaults(func=cmd_portrait)
 
     sp = sub.add_parser("verify", help="stationary-measure verification report")
     sp.add_argument("target", nargs="?", default="suslov", choices=("suslov", "example2d"))
-    common(sp, T=0.0, tol=1e-6, samples=10000)
+    options(sp, tol=1e-6, samples=10000, seed=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("transport", help="Monte Carlo measure transport check")
     sp.add_argument("target", nargs="?", default="suslov", choices=("suslov", "example2d"))
-    common(sp, T=5.0, tol=1e-8, samples=100000)
+    options(sp, T=5.0, samples=100000, seed=0)
     sp.add_argument("--box", help="box bounds lo1,hi1,lo2,hi2[,lo3,hi3]")
     sp.add_argument("--density", choices=("classA", "uniform"), default="classA")
     sp.set_defaults(func=cmd_transport)

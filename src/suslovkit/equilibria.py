@@ -2,13 +2,18 @@
 
 The equilibrium set is the union of the three eigenlines V_i of Ba. On a
 fixed energy ellipsoid each line contributes an antipodal pair +-v_i whose
-stability is read off the characteristic polynomial
+stability is read off the characteristic polynomial of the field Jacobian
+J = J(v_i),
 
-    p(z) = det(z Ka - G_{v_i}) = det(Ka) z^3 + alpha z^2 + beta z,
+    p(z) = det(Ka) det(z I - J) = det(Ka) z^3 + alpha z^2 + beta z,
 
-where G_{v_i} is the linearization of (Ba Omega) x Omega at v_i. The zero
-root corresponds to motion along the equilibrium line; the signs of alpha
-and beta classify the restricted equilibria.
+    alpha = -det(Ka) tr J,   beta = det(Ka) (tr^2 J - tr J^2) / 2.
+
+p(z) is also det(z Ka - G) for the linearization G = Ka J of
+(Ba Omega) x Omega. Its constant term -det(Ka) det J vanishes because
+J(v) v = 2 X(v) = 0: the zero root is motion along the equilibrium line.
+The signs of alpha and beta classify the restricted equilibria, and
+tr J(v) = div X(v) makes alpha = -det(Ka) div X(v_i).
 """
 from __future__ import annotations
 
@@ -88,36 +93,6 @@ def scale_to_ellipsoid(params: SuslovParams, v: Array, eta: float, sign: int = 1
     return sign * np.sqrt(eta / e) * v
 
 
-def _match_eigenline(params: SuslovParams, v: Array) -> int:
-    """Index i of the eigenline of Ba containing v, or raise if none does."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("zero vector is not an equilibrium direction")
-    Ba = matrices(params).Ba
-    resid = [np.linalg.norm(Ba @ v - lam * v) for lam in params.lam]
-    i = int(np.argmin(resid))
-    if resid[i] > 1e-9 * np.linalg.norm(Ba, 2) * nrm:
-        raise ValueError("not an equilibrium direction (no eigenline of Ba matches)")
-    return i + 1
-
-
-def linearization(params: SuslovParams, v: Array) -> Array:
-    """Linearization G of Omega -> (Ba Omega) x Omega at the equilibrium v,
-    with columns g_j = (b_j - lambda_i e_j) x v. Satisfies Ka J(v) = G for
-    the field Jacobian J."""
-    i = _match_eigenline(params, v)
-    lam_i = params.lam[i - 1]
-    Ba = matrices(params).Ba
-    v = np.asarray(v, dtype=float)
-    cols = []
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        cols.append(np.cross(Ba[:, j] - lam_i * e, v))
-    return np.stack(cols, axis=-1)
-
-
 def _coefficient_tolerance(params: SuslovParams, v: Array) -> float:
     """Scale-aware zero threshold for alpha; alpha and beta are homogeneous
     in v so the threshold must track the representative."""
@@ -125,40 +100,27 @@ def _coefficient_tolerance(params: SuslovParams, v: Array) -> float:
     return 1e-10 * matrices(params).detKa * nrm2 * max(params.lam)
 
 
-def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
-    """Coefficients (alpha, beta) of det(z Ka - G_{v_i}).
-
-    The cubic is recovered by interpolation: the determinant is evaluated at
-    four z values and the coefficients solved from the Vandermonde system.
-    The constant term must vanish (zero root along the line V_i); a violation
-    signals an implementation bug.
-    """
+def _direction(params: SuslovParams, i: int) -> Array:
     if i not in (1, 2, 3):
         raise ValueError("equilibrium index must be 1, 2 or 3")
-    v = equilibrium_directions(params)[i - 1]
-    G = linearization(params, v)
-    mats = matrices(params)
-    s = 1.0 + np.linalg.norm(mats.Ka_inv @ G, 2)
-    zs = s * np.array([-2.0, -1.0, 1.0, 2.0])
-    ps = np.array([np.linalg.det(z * mats.Ka - G) for z in zs])
-    V = np.vander(zs, 4)  # columns z^3, z^2, z, 1
-    c3, alpha, beta, c0 = np.linalg.solve(V, ps)
-    scale = max(np.max(np.abs(ps)), mats.detKa * s ** 3)
-    if abs(c0) > 1e-10 * scale:
-        raise AssertionError("constant term of det(z Ka - G) does not vanish")
-    if abs(c3 - mats.detKa) > 1e-10 * scale:
-        raise AssertionError("cubic term of det(z Ka - G) is not det(Ka)")
-    return float(alpha), float(beta)
+    return equilibrium_directions(params)[i - 1]
 
 
-def stability_coefficients_closed_form(
-    params: SuslovParams, i: int
-) -> tuple[float | None, float]:
-    """Closed forms of (alpha, beta) at the fixed representatives.
+def _coefficients(params: SuslovParams, v: Array) -> tuple[float, float]:
+    """(alpha, beta) of p(z) at the equilibrium v, from the field Jacobian."""
+    J = vector_field(params).jac(v)
+    tr = np.trace(J)
+    detKa = matrices(params).detKa
+    return float(-detKa * tr), float(detKa * 0.5 * (tr * tr - np.trace(J @ J)))
 
-    For i = 2 only beta has a closed form (its sign alone settles the
-    classification), so alpha is returned as None there.
-    """
+
+def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
+    """Coefficients (alpha, beta) of p(z) = det(Ka) det(z I - J(v_i))."""
+    return _coefficients(params, _direction(params, i))
+
+
+def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[float, float]:
+    """Closed forms of (alpha, beta) at the fixed representatives."""
     l1, l2, l3 = params.lam
     a1, a2, K3 = params.a1, params.a2, params.K3
     if i == 1:
@@ -171,7 +133,8 @@ def stability_coefficients_closed_form(
         beta = -(l1 - l2) * (l2 - l3) * (
             l2 * (l2 - l3) ** 2 + a2 * a2 * K3 * ((l2 - l3) ** 2 + K3 * l3)
         )
-        return None, beta
+        alpha = -a1 * K3 * l3 * (l2 * (l3 - l2) + a2 * a2 * K3 * (l1 - l2))
+        return alpha, beta
     if i == 3:
         beta = (l1 - l3) * (l2 - l3) * l3
         alpha = -a1 * a2 * K3 * (l1 - l2) * l3
@@ -181,8 +144,8 @@ def stability_coefficients_closed_form(
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:
     """Classify the equilibrium pair +-v_i from the signs of (alpha, beta)."""
-    v = equilibrium_directions(params)[i - 1]
-    alpha, beta = stability_coefficients(params, i)
+    v = _direction(params, i)
+    alpha, beta = _coefficients(params, v)
     tol = _coefficient_tolerance(params, v)
     if abs(beta) <= tol * max(params.lam):
         raise ValueError(f"degenerate equilibrium line V_{i}: beta vanishes")

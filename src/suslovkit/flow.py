@@ -223,6 +223,8 @@ _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+#: accepted-or-rejected step budget of integrate_batch before it gives up
+_BATCH_MAX_STEPS = 1_000_000
 
 
 def integrate_batch(
@@ -232,7 +234,6 @@ def integrate_batch(
     tol: float = 1e-8,
     atol: float = 1e-10,
     record_times: Sequence[float] = (),
-    max_steps: int = 1_000_000,
 ) -> tuple[Array, list[tuple[float, Array]]]:
     """Integrate a batch of initial states with one shared adaptive step.
 
@@ -257,7 +258,7 @@ def integrate_batch(
     recorded: list[tuple[float, Array]] = []
     i_rec = 0
     tiny = 1e-14 * abs(T)
-    for _ in range(max_steps):
+    for _ in range(_BATCH_MAX_STEPS):
         if s * (T - t) <= tiny:
             break
         if abs(h) < 1e-15 * max(1.0, abs(T)):
@@ -298,7 +299,7 @@ def integrate_batch(
         else:
             h = s * abs(h_step) * factor
     else:
-        raise IntegrationError(f"exceeded {max_steps} steps at t = {t:.6g}", t_last=t)
+        raise IntegrationError(f"exceeded {_BATCH_MAX_STEPS} steps at t = {t:.6g}", t_last=t)
     return Y, recorded
 
 
@@ -343,13 +344,16 @@ def flow_map_with_jacobian(
     return solver.y[:dim].copy(), solver.y[dim:].reshape(dim, dim).copy()
 
 
+#: Simpson nodes for the divergence quadrature of liouville_residual
+_LIOUVILLE_QUAD_POINTS = 2001
+
+
 def liouville_residual(
     params: SuslovParams,
     omega0: Array,
     t: float,
     tol: float = 1e-10,
     atol: float = 1e-12,
-    quad_points: int = 2001,
 ) -> dict:
     """Two independent routes to the volume growth log det D phi_t: the
     variational Jacobian versus quadrature of the analytic divergence along
@@ -358,7 +362,7 @@ def liouville_residual(
     _, D = flow_map_with_jacobian(field, omega0, t, tol=tol, atol=atol)
     sign, logdet = np.linalg.slogdet(D)
     traj = integrate(field, omega0, t, tol=tol, atol=atol)
-    ts = np.linspace(0.0, t, quad_points)
+    ts = np.linspace(0.0, t, _LIOUVILLE_QUAD_POINTS)
     div_vals = divergence_analytic(params, traj.dense(ts).T)
     quad = float(simpson(div_vals, x=ts))
     return {
@@ -516,6 +520,12 @@ def _candidate_distances(states: Array, points: Array, metric: str) -> Array:
     raise ValueError("metric must be 'euclidean' or 'angular'")
 
 
+#: detect_attractor judges the distance trend on the last _TAIL_FRACTION of
+#: the run, at _TAIL_CHECKS + 1 evenly spaced checkpoints
+_TAIL_FRACTION = 0.1
+_TAIL_CHECKS = 8
+
+
 def detect_attractor(
     field: VectorFieldSpec,
     candidates: Sequence[tuple[str, Array]],
@@ -525,8 +535,6 @@ def detect_attractor(
     capture_radius: float = 0.05,
     seed: int = 0,
     metric: str = "euclidean",
-    tail_fraction: float = 0.1,
-    tail_checks: int = 8,
     tol: float = 1e-8,
     atol: float = 1e-10,
 ) -> CaptureReport:
@@ -535,7 +543,7 @@ def detect_attractor(
 
     A sample counts as captured only if its endpoint lies within
     capture_radius of a candidate and the distance to that candidate keeps
-    decreasing over the last tail_fraction of the run.  Spiraling approach
+    decreasing over the last _TAIL_FRACTION of the run.  Spiraling approach
     makes checkpoint distances oscillate, so the trend is judged on the
     oscillation envelope: the peak distance over the late checkpoints must
     not exceed the peak over the early ones.  Slow transit near a saddle
@@ -544,7 +552,7 @@ def detect_attractor(
     labels = tuple(lbl for lbl, _ in candidates)
     points = np.array([np.asarray(p, dtype=float) for _, p in candidates])
     x0 = np.asarray(sampler(samples, seed), dtype=float)
-    checks = np.linspace(T * (1.0 - tail_fraction), T, tail_checks + 1)
+    checks = np.linspace(T * (1.0 - _TAIL_FRACTION), T, _TAIL_CHECKS + 1)
     _, recorded = integrate_batch(
         field, x0, T, tol=tol, atol=atol, record_times=checks
     )
@@ -634,6 +642,22 @@ def _require_finite(values: Array, what: str) -> None:
         raise ValueError(f"{what} is not finite at {bad} of {values.size} samples")
 
 
+def _standard_error(values: Array, vol: float, what: str) -> float:
+    """vol times the standard error of the mean of finite values. The spread
+    is taken in units of the largest |value|, so squares cannot overflow."""
+    scale = float(np.max(np.abs(values)))
+    if scale == 0.0:
+        return 0.0
+    se = vol * scale * float(np.std(values / scale, ddof=1)) / float(np.sqrt(values.size))
+    _require_finite(np.asarray(se), f"standard error of {what}")
+    return se
+
+
+#: relative and absolute tolerances of measure_transport_check's integration
+_TRANSPORT_TOL = 1e-8
+_TRANSPORT_ATOL = 1e-10
+
+
 def measure_transport_check(
     field: VectorFieldSpec,
     density: DensitySpec,
@@ -642,8 +666,6 @@ def measure_transport_check(
     N: int,
     seed: int,
     transport_samples: Optional[int] = None,
-    tol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> TransportReport:
     """Monte Carlo check of measure invariance mu(phi_t(A)) = mu(A).
 
@@ -655,7 +677,8 @@ def measure_transport_check(
     from 0 to t of div X(phi_s(x)) ds, integrated as one extra state beside
     x; the variational route of flow_map_with_jacobian is its test oracle.
     Needs N >= 2 and 2 <= transport_samples <= N. Raises ValueError when the
-    density at the box samples, or a transport weight, is not finite.
+    density at the box samples, a transport weight, or a standard error is
+    not finite.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
@@ -677,18 +700,20 @@ def measure_transport_check(
     m_vals = np.asarray(density.eval(pts), dtype=float)
     _require_finite(m_vals, "density M at the box samples")
     mu_A = vol * float(np.mean(m_vals))
-    se_A = vol * float(np.std(m_vals, ddof=1)) / np.sqrt(N)
+    se_A = _standard_error(m_vals, vol, "mu(A)")
 
     if t == 0.0:
         n_t = N
         mu_T, se_T = mu_A, se_A
         rel = 0.0
     else:
-        x_end, log_vol = _log_volume_flow(field, pts[:n_t], t, tol=tol, atol=atol)
+        x_end, log_vol = _log_volume_flow(
+            field, pts[:n_t], t, tol=_TRANSPORT_TOL, atol=_TRANSPORT_ATOL
+        )
         weights = np.asarray(density.eval(x_end), dtype=float) * np.exp(log_vol)
         _require_finite(weights, "transport weight M(x_end) * exp(l_end)")
         mu_T = vol * float(np.mean(weights))
-        se_T = vol * float(np.std(weights, ddof=1)) / np.sqrt(n_t)
+        se_T = _standard_error(weights, vol, "mu(phi_t(A))")
         rel = (mu_T - mu_A) / mu_A if mu_A != 0.0 else np.inf
     return TransportReport(
         box=A,

@@ -33,6 +33,10 @@ from .fields import (
 #: gives up; an exclusion radius near 1 rejects every point in the annulus
 _MAX_REJECTION_ROUNDS = 100
 
+#: factor on the finite-difference truncation estimate behind the exclusion
+#: radius around the invariant planes
+_EXCLUSION_SAFETY = 10.0
+
 
 @dataclass(frozen=True)
 class ClassADensityParams:
@@ -195,25 +199,23 @@ def residual_scale(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Ar
     return _residual_and_scale(field, density, x)[1]
 
 
-def _fd_exclusion(exponents: tuple[float, float], tol: float, safety: float) -> float:
+def _fd_exclusion(exponents: tuple[float, float], tol: float) -> float:
     """Exclusion radius for a density with these two factor exponents."""
     C = max(abs((q - 1.0) * (q - 2.0)) for q in (*exponents, sum(exponents)))
-    return FD_STEP_UNIT * float(np.sqrt(C * safety / (6.0 * tol)))
+    return FD_STEP_UNIT * float(np.sqrt(C * _EXCLUSION_SAFETY / (6.0 * tol)))
 
 
-def exclusion_radius(
-    dp: ClassADensityParams, tol: float = 1e-6, safety: float = 10.0
-) -> float:
+def exclusion_radius(dp: ClassADensityParams, tol: float = 1e-6) -> float:
     """Normalized distance from the planes inside which the finite-difference
     residual is not trusted.
 
     A factor |u|^q differentiated centrally at distance d carries relative
     truncation error about (h/d)^2 |(q-1)(q-2)| / 6; near the intersection
     line of the planes the exponents add. Solving for d at the target
-    tolerance (with a safety margin) gives the radius, in units of the
-    finite-difference step at unit scale.
+    tolerance (with the margin _EXCLUSION_SAFETY) gives the radius, in units
+    of the finite-difference step at unit scale.
     """
-    return _fd_exclusion((dp.exp_plus, dp.exp_minus), tol, safety)
+    return _fd_exclusion((dp.exp_plus, dp.exp_minus), tol)
 
 
 def _rejection_sample(
@@ -332,7 +334,7 @@ def fixture2d_residual_sweep(n_points: int = 4096, seed: int = 0, tol: float = 1
     """Stationarity sweep for the plane fixture, M = |x1|^5 x2^2 against
     (dx1, dx2) = (-x1, 2 x2); same exclusion policy as the main density,
     with exponents 5 and 2 on the axes (joint degree 7 at the origin)."""
-    excl = _fd_exclusion((5.0, 2.0), tol, safety=10.0)
+    excl = _fd_exclusion((5.0, 2.0), tol)
 
     def keep(x: Array) -> Array:
         guard = excl * np.maximum(1.0, np.linalg.norm(x, axis=1))

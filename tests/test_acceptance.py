@@ -114,9 +114,7 @@ def test_criterion_04_stability_table():
             alpha, beta = stability_coefficients(p, i)
             alpha_cf, beta_cf = stability_coefficients_closed_form(p, i)
             worst = max(worst, abs(beta - beta_cf) / max(abs(beta_cf), 1e-30))
-            if alpha_cf is not None:
-                scale = max(abs(beta_cf), 1.0)
-                worst = max(worst, abs(alpha - alpha_cf) / scale)
+            worst = max(worst, abs(alpha - alpha_cf) / max(abs(beta_cf), 1.0))
             betas.append(beta)
         assert betas[0] > 0 and betas[1] < 0 and betas[2] > 0
     table_ok = True

@@ -280,3 +280,24 @@ class TestTransport:
         assert rc == 0
         doc = _load_report(out)
         assert doc["config"]["box"] == [[0.9, 1.1]] * 3
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze", "--eta", "1"), ("analyze", "--T", "1"), ("analyze", "--tol", "1e-8"),
+    ("analyze", "--samples", "10"), ("analyze", "--seed", "1"),
+    ("analyze", "--format", "csv"),
+    ("simulate", "--eta", "1"), ("simulate", "--seed", "1"),
+    ("portrait", "--format", "csv"),
+    ("verify", "--eta", "1"), ("verify", "--T", "1"), ("verify", "--format", "csv"),
+    ("transport", "--eta", "1"), ("transport", "--tol", "1e-8"),
+    ("transport", "--format", "csv"),
+])
+def test_unread_option_rejected(command, flag, value, capsys):
+    # one token, so verify's and transport's positional target cannot take the value
+    argv = [command, f"{flag}={value}"]
+    if command == "simulate":
+        argv += ["--omega0", "1,1,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err

@@ -281,3 +281,12 @@ class TestDivergence:
         batch = divergence_analytic(pstar_full, pts)
         for k in range(9):
             assert batch[k] == divergence_analytic(pstar_full, pts[k])
+
+
+def test_public_exports():
+    import suslovkit
+
+    names = suslovkit.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(suslovkit, name), name

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from suslovkit.core import energy, matrices, validate, vector_field
+from suslovkit.core import divergence_analytic, energy, matrices, validate, vector_field
 from suslovkit.equilibria import (
     Classification,
+    _coefficient_tolerance,
     classify,
     equilibrium_directions,
-    linearization,
     scale_to_ellipsoid,
     stability_coefficients,
     stability_coefficients_closed_form,
 )
 
 from conftest import draw_params
+
+
+def cross_product_linearization(p, i, v):
+    """Linearization G of Omega -> (Ba Omega) x Omega at a point v of the
+    i-th equilibrium line, with columns g_j = (b_j - lambda_i e_j) x v,
+    built independently of the field's quadratic tensor."""
+    Ba = matrices(p).Ba - p.lam[i - 1] * np.eye(3)
+    return np.stack([np.cross(Ba[:, j], v) for j in range(3)], axis=-1)
 
 
 def test_reference_directions(pstar):
@@ -65,28 +73,21 @@ class TestScaleToEllipsoid:
 
 class TestLinearization:
     def test_annihilates_direction(self, rng):
+        # J(v) v = 2 X(v) = 0, so det J(v) and the constant term of p(z) vanish
         for _ in range(50):
             p = draw_params(rng)
+            m = matrices(p)
+            f = vector_field(p)
             for v in equilibrium_directions(p):
-                G = linearization(p, v)
+                G = m.Ka @ f.jac(v)
                 assert np.max(np.abs(G @ v)) <= 1e-10 * max(1.0, v @ v)
 
     def test_equals_Ka_times_field_jacobian(self, pstar_full):
         f = vector_field(pstar_full)
         m = matrices(pstar_full)
-        for v in equilibrium_directions(pstar_full):
-            G = linearization(pstar_full, v)
+        for i, v in enumerate(equilibrium_directions(pstar_full), start=1):
+            G = cross_product_linearization(pstar_full, i, v)
             np.testing.assert_allclose(G, m.Ka @ f.jac(v), atol=1e-11)
-
-    def test_linear_in_direction(self, pstar_full):
-        v1 = equilibrium_directions(pstar_full)[0]
-        G1 = linearization(pstar_full, v1)
-        G3 = linearization(pstar_full, 3.0 * v1)
-        np.testing.assert_allclose(G3, 3.0 * G1, rtol=1e-12)
-
-    def test_non_equilibrium_rejected(self, pstar):
-        with pytest.raises(ValueError):
-            linearization(pstar, np.array([1.0, 1.0, 1.0]))
 
 
 class TestStabilityCoefficients:
@@ -107,9 +108,17 @@ class TestStabilityCoefficients:
                 alpha, beta = stability_coefficients(p, i)
                 alpha_cf, beta_cf = stability_coefficients_closed_form(p, i)
                 assert beta == pytest.approx(beta_cf, rel=1e-9)
-                if alpha_cf is not None:
-                    scale = max(abs(beta_cf), 1.0)
-                    assert abs(alpha - alpha_cf) <= 1e-9 * scale
+                assert abs(alpha - alpha_cf) <= 1e-9 * max(abs(beta_cf), 1.0)
+
+    def test_alpha_is_minus_detKa_times_divergence(self, rng):
+        # tr J(v) = div X(v) = <c, v>, with c in closed form
+        for _ in range(200):
+            p = draw_params(rng)
+            detKa = matrices(p).detKa
+            for i, v in enumerate(equilibrium_directions(p), start=1):
+                alpha, beta = stability_coefficients(p, i)
+                expected = -detKa * float(divergence_analytic(p, v))
+                assert abs(alpha - expected) <= 1e-12 * max(abs(beta), 1.0)
 
     def test_sign_pattern(self, rng):
         for _ in range(200):
@@ -149,7 +158,8 @@ class TestStabilityCoefficients:
             m = matrices(p)
             for i, v in enumerate(equilibrium_directions(p), start=1):
                 alpha, beta = stability_coefficients(p, i)
-                eigs = np.linalg.eigvals(m.Ka_inv @ linearization(p, v))
+                G = cross_product_linearization(p, i, v)
+                eigs = np.linalg.eigvals(m.Ka_inv @ G)
                 order = np.argsort(np.abs(eigs))
                 assert abs(eigs[order[0]]) <= 1e-8 * max(1.0, np.abs(eigs).max())
                 mu = eigs[order[1:]]
@@ -198,7 +208,7 @@ class TestClassify:
             for i, v in enumerate(equilibrium_directions(p), start=1):
                 alpha, beta = stability_coefficients(p, i)
                 c = rng.uniform(0.2, 5.0)
-                G = linearization(p, c * v)
+                G = cross_product_linearization(p, i, c * v)
                 zs = np.array([-2.0, -1.0, 1.0, 2.0]) * (
                     1.0 + np.linalg.norm(m.Ka_inv @ G, 2))
                 ps = [np.linalg.det(z * m.Ka - G) for z in zs]
@@ -206,6 +216,30 @@ class TestClassify:
                 assert np.sign(coeffs[2]) == np.sign(beta)
                 if abs(alpha) > 1e-8 * max(abs(beta), 1.0):
                     assert np.sign(coeffs[1]) == np.sign(alpha)
+
+    def test_alpha_tolerance_agrees_with_closed_form(self, rng):
+        # |a2| in [1e-12, 1e-6] puts alpha_1 and alpha_3 on both sides of
+        # classify's zero threshold; the closed form, judged by the same
+        # threshold, must give the same classification
+        seen = set()
+        for _ in range(300):
+            a2 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -6.0)
+            p = draw_params(rng, a2=a2)
+            for i, v in enumerate(equilibrium_directions(p), start=1):
+                alpha_cf, beta_cf = stability_coefficients_closed_form(p, i)
+                r = classify(p, i)
+                if beta_cf < 0.0:
+                    assert r.classification is Classification.SADDLE
+                elif abs(alpha_cf) <= _coefficient_tolerance(p, v):
+                    assert r.classification is Classification.LINEAR_CENTER_PAIR
+                else:
+                    assert r.classification is Classification.SOURCE_SINK_PAIR
+                    assert r.sink_sign == (-1 if alpha_cf < 0.0 else 1)
+                seen.add((i, r.classification))
+        # both sides of the threshold were reached on lines 1 and 3
+        for i in (1, 3):
+            assert (i, Classification.LINEAR_CENTER_PAIR) in seen
+            assert (i, Classification.SOURCE_SINK_PAIR) in seen
 
     def test_report_round_trip(self, pstar_full):
         r = classify(pstar_full, 1)

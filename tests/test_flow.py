@@ -378,6 +378,23 @@ class TestMeasureTransport:
                                     np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, 200,
                                     seed=1)
 
+    def test_standard_errors_do_not_overflow(self):
+        # M = exp(300 x2) is finite on these boxes but M^2 is not: the spread
+        # must stay finite, and a wrong transport must then fail within_3se
+        dens = DensitySpec(eval=lambda x: np.exp(300.0 * x[..., 1]),
+                           zero_set_description="empty",
+                           differentiability_class="C1")
+        moved = measure_transport_check(example2d(), dens,
+                                        np.array([[1.0, 2.0], [1.0, 1.1]]), 0.1, 200,
+                                        seed=0)
+        assert math.isfinite(moved.standard_error_estimate)
+        assert moved.relative_error > 1e30
+        assert not moved.within_3se
+        still = measure_transport_check(example2d(), dens,
+                                        np.array([[1.0, 2.0], [1.0, 2.0]]), 0.0, 200,
+                                        seed=0)
+        assert math.isfinite(still.se_mu_A) and still.se_mu_A > 0.0
+
     def test_seed_reproducibility(self, pstar):
         dens = density_spec(pstar, density_params(pstar))
         box = np.array([[0.8, 1.2]] * 3)
