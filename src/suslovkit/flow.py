@@ -5,11 +5,13 @@ measure transport checks.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, simpson
+from scipy.integrate import DOP853, simpson
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .core import SuslovParams, divergence_analytic, energy, matrices, vector_field
 from .equilibria import equilibrium_directions, scale_to_ellipsoid
@@ -42,19 +44,107 @@ def _dop853_steps(
         yield solver
 
 
+def _step_record(solver: DOP853) -> tuple:
+    """What the dense output needs of the step just accepted: its start and end
+    times, its start state, its end state and its 13 stage rates. Taken before
+    the consumer changes solver.y, which the step's interpolant must not see."""
+    return solver.t_old, solver.t, solver.y_old, solver.y.copy(), solver.K.copy()
+
+
+def _basis(theta):
+    """Interpolation basis p_j(theta), j = 0..6, of the DOP853 dense output:
+    theta, theta(1 - theta), theta^2(1 - theta), ... by alternate factors,
+    multiplied in the same order for a float and for an array."""
+    u = 1.0 - theta
+    p = [theta]
+    for j in range(1, _dop853.INTERPOLATOR_POWER):
+        p.append(p[-1] * (u if j % 2 else theta))
+    return p
+
+
+class DenseOutput:
+    """Piecewise DOP853 interpolant over the accepted steps of one run.
+
+    On the step from t_old to t_old + h it gives y_old + sum_j p_j(theta) F_j,
+    theta = (t - t_old) / h, with the basis of _basis and the step's
+    (7, d) coefficients F; this is the polynomial scipy's DOP853 builds
+    for each step's dense output, written as one sum. The call contract is
+    that of scipy's piecewise dense solution: a scalar t gives shape (d,) and
+    an array of m times gives (d, m); at a step boundary the step that ends
+    there in the direction of integration is used, and beyond either end the
+    end step extrapolates.
+    """
+
+    def __init__(self, t_old: Array, t_new: Array, y_old: Array, F: Array):
+        # steps are stored by increasing time whatever the direction of the run
+        self._forward = bool(t_new[0] > t_old[0])
+        if self._forward:
+            self._breaks = np.concatenate([t_old[:1], t_new])
+        else:
+            t_old, t_new, y_old, F = t_old[::-1], t_new[::-1], y_old[::-1], F[::-1]
+            self._breaks = np.concatenate([t_new[:1], t_old])
+        self._t_old = np.ascontiguousarray(t_old)
+        self._h = t_new - t_old
+        self._y_old = np.ascontiguousarray(y_old)
+        self._F = np.ascontiguousarray(F)
+        self._breaks_list = self._breaks.tolist()
+        self._t_old_list = self._t_old.tolist()
+        self._h_list = self._h.tolist()
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            t = float(t)
+            find = bisect_left if self._forward else bisect_right
+            k = min(max(find(self._breaks_list, t) - 1, 0), len(self._h_list) - 1)
+            theta = (t - self._t_old_list[k]) / self._h_list[k]
+            return self._y_old[k] + np.array(_basis(theta)) @ self._F[k]
+        t = np.asarray(t, dtype=float)
+        side = "left" if self._forward else "right"
+        k = np.clip(np.searchsorted(self._breaks, t, side) - 1, 0, self._h.size - 1)
+        theta = (t - self._t_old[k]) / self._h[k]
+        P = np.stack(_basis(theta), axis=-1)
+        # matmul of each (1, 7) row, as in the scalar branch, keeps both bit-equal
+        return (self._y_old[k] + (P[:, None, :] @ self._F[k])[:, 0, :]).T
+
+
+def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> DenseOutput:
+    """DOP853's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+    for every step recorded by _step_record, built after stepping. The three
+    extra stages depend only on their own step's stages, so each is one
+    batched rhs call that maps times (n,) and states (n, d) to rates (n, d);
+    the coefficients are those scipy's per-step dense output uses."""
+    t_old, t_new, y_old, y_new, K = (np.array(c) for c in zip(*steps))
+    h = t_new - t_old
+    hc = h[:, None]
+    n_stages = _dop853.N_STAGES + 1
+    Kx = np.empty((len(h), _dop853.N_STAGES_EXTENDED, y_old.shape[1]))
+    Kx[:, :n_stages] = K
+    for s in range(n_stages, _dop853.N_STAGES_EXTENDED):
+        dy = (_dop853.A[s, :s] @ Kx[:, :s]) * hc
+        Kx[:, s] = rhs(t_old + _dop853.C[s] * h, y_old + dy)
+    delta = y_new - y_old
+    F = np.empty((len(h), _dop853.INTERPOLATOR_POWER, y_old.shape[1]))
+    F[:, 0] = delta
+    F[:, 1] = hc * K[:, 0] - delta
+    F[:, 2] = 2.0 * delta - hc * (K[:, -1] + K[:, 0])
+    F[:, 3:] = h[:, None, None] * (_dop853.D @ Kx)
+    return DenseOutput(t_old, t_new, y_old, F)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution curve with integrator diagnostics.
 
-    times are strictly increasing (backward runs are stored reversed), and
-    dense interpolation covers the full integration span when present.
+    times are strictly increasing (backward runs are stored reversed).
+    dense, when present, is the DOP853 interpolant of the whole run
+    (DenseOutput: t gives (d,), an array of m times gives (d, m)).
     """
 
     times: Array
     states: Array
     energy_drift: Optional[float]
     integrator_stats: dict
-    dense: Optional[OdeSolution] = None
+    dense: Optional[DenseOutput] = None
 
     def __post_init__(self) -> None:
         if not np.all(np.diff(self.times) > 0.0):
@@ -121,11 +211,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate the field from x0 over [0, T] (T may be negative).
 
-    Adaptive high-order Runge-Kutta stepping with dense output; samples are
-    the accepted step points unless record_times supplies an explicit grid.
-    An optional project hook is applied to the state after every accepted
-    step (used for energy re-projection on long portrait runs); projection
-    is a flagged correction, never silent default behavior.
+    Adaptive DOP853 stepping; samples are the accepted step points unless
+    record_times supplies an explicit grid, which is read off the dense
+    output. The dense output of all steps is built once after stepping, in
+    three batched field calls (see _dop853_interpolant). An optional project
+    hook is applied to the state after every accepted step (used for energy
+    re-projection on long portrait runs); projection is a flagged
+    correction, never silent default behavior, and each step's interpolant
+    ends at the unprojected state. integrator_stats gives n_accepted,
+    n_rejected, nfev and the smallest and largest accepted |step|, h_min and
+    h_max.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dim,):
@@ -142,10 +237,10 @@ def integrate(
 
     ts = [0.0]
     states = [x0.copy()]
-    interps = []
+    steps = []
     n_extra = 0
     for solver in _dop853_steps(rhs, 0.0, x0, T, tol, atol, "integration"):
-        interps.append(solver.dense_output())
+        steps.append(_step_record(solver))
         if project is not None:
             solver.y = np.asarray(project(solver.y), dtype=float)
             solver.f = rhs(solver.t, solver.y)
@@ -153,11 +248,17 @@ def integrate(
         ts.append(solver.t)
         states.append(solver.y.copy())
 
-    n_acc = len(interps)
-    # call budget: 2 startup evals, 12 per attempted step, 3 per dense output
-    attempts = max(n_acc, round((ncalls - 2 - 3 * n_acc - n_extra) / 12))
-    stats = {"n_accepted": n_acc, "n_rejected": int(attempts - n_acc), "nfev": ncalls}
-    dense = OdeSolution(ts, interps)
+    n_acc = len(steps)
+    # rhs made 2 start-up calls, 12 per attempted step and n_extra after
+    # projections; nfev also counts the 3 dense-output stages of each step
+    attempts = max(n_acc, round((ncalls - 2 - n_extra) / 12))
+    dense = _dop853_interpolant(lambda t, y: field.eval(y), steps)
+    h = np.abs(np.diff(ts))
+    stats = {
+        "n_accepted": n_acc, "n_rejected": int(attempts - n_acc),
+        "nfev": ncalls + 3 * n_acc,
+        "h_min": float(h.min()), "h_max": float(h.max()),
+    }
 
     if record_times is not None:
         grid = np.asarray(record_times, dtype=float)
@@ -417,6 +518,9 @@ def reconstruct(
 
     integrating quaternions against the dense angular-velocity history with
     per-step renormalization. g0 is the attitude at the first stored time.
+    The rhs reads Omega from traj.dense and takes one time and state or a
+    batch of them, so the attitude's own dense output, which samples it at
+    traj.times, is built like integrate's, after stepping.
     """
     if traj.dense is None:
         raise ValueError("reconstruction needs a trajectory with dense output")
@@ -431,23 +535,22 @@ def reconstruct(
     a1, a2 = params.a1, params.a2
     dense_omega = traj.dense
 
-    def rhs(t: float, y: Array) -> Array:
+    def rhs(t, y: Array) -> Array:
+        # t (), y (5,) -> (5,), or t (n,), y (n, 5) -> (n, 5)
         w = dense_omega(t)
-        dq = 0.5 * quat_mul(y[:4], np.array([0.0, w[0], w[1], w[2]]))
+        dq = 0.5 * quat_mul(y.T[:4], (0.0, w[0], w[1], w[2]))
         dth = -(a1 * w[0] + a2 * w[1] + w[2])
-        return np.append(dq, dth)
+        return np.concatenate([dq, [dth]]).T
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.append(g0 / nrm, float(theta0))
-    ts = [t0]
-    interps = []
+    steps = []
     for solver in _dop853_steps(rhs, t0, y0, t1, tol, atol, "attitude integration"):
-        interps.append(solver.dense_output())
+        steps.append(_step_record(solver))
         q = solver.y[:4]
         solver.y[:4] = q / np.linalg.norm(q)
         solver.f = rhs(solver.t, solver.y)
-        ts.append(solver.t)
-    dense_att = OdeSolution(ts, interps)
+    dense_att = _dop853_interpolant(rhs, steps)
     samples = dense_att(traj.times).T
     quats = samples[:, :4]
     quats = quats / np.linalg.norm(quats, axis=1, keepdims=True)

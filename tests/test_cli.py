@@ -65,6 +65,22 @@ class TestAnalyze:
         assert kinds == ["SourceSinkPair", "Saddle", "SourceSinkPair"]
         assert doc["predicates"]["classA_measure_exists"] is False
 
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)])
+    def test_source_sink_text_matches_classify(self, params_file, capsys, a1, a2):
+        from suslovkit import classify, validate
+        assert main(["analyze", "--params", params_file("p", a1, a2)]) == 0
+        table = capsys.readouterr().out.splitlines()[1:4]
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=a1, a2=a2)
+        for i, line in zip((1, 2, 3), table):
+            r = classify(p, i)
+            assert line.split()[0] == str(i)
+            if i == 2:
+                assert "source" not in line and "sink" not in line
+                continue
+            src = "+" if r.source_sign > 0 else "-"
+            snk = "+" if r.sink_sign > 0 else "-"
+            assert line.endswith(f"SourceSinkPair (source {src}v{i}, sink {snk}v{i})")
+
     def test_config_echo(self, params_file, tmp_path):
         out = str(tmp_path / "a.json")
         main(["analyze", "--params", params_file("p", 1.0, 0.0), "--out", out])
@@ -155,6 +171,22 @@ class TestSimulate:
         doc = _load_report(out)
         assert doc["columns"][:4] == ["t", "omega1", "omega2", "omega3"]
         assert doc["config"]["energy_drift"] <= 1e-9
+        stats = doc["config"]["integrator_stats"]
+        assert set(stats) == {"n_accepted", "n_rejected", "nfev", "h_min", "h_max"}
+        h = np.diff([row[0] for row in doc["rows"]])
+        assert (stats["h_min"], stats["h_max"]) == (h.min(), h.max())
+
+    def test_csv_header_has_no_counters(self, params_file, tmp_path):
+        out = tmp_path / "s.csv"
+        main(["simulate", "--params", params_file("p", 1.0, 0.0),
+              "--omega0", "1,1,1", "--T", "5", "--out", str(out)])
+        keys = [l[2:].split(" = ")[0] for l in out.read_text().splitlines()
+                if l.startswith("#")]
+        assert keys == [
+            "omega0", "T", "tol", "project_energy", "energy_drift", "schema_version",
+            "params.I1", "params.I2", "params.I3", "params.K1", "params.K3",
+            "params.a1", "params.a2", "params.a3",
+        ]
 
 
 class TestPortrait:

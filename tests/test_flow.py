@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, OdeSolution
 
 from suslovkit.core import energy, validate, vector_field
 from suslovkit.fields import DensitySpec, VectorFieldSpec, example2d, example2d_density
@@ -15,6 +16,7 @@ from suslovkit.flow import (
     integrate_batch,
     liouville_residual,
     measure_transport_check,
+    quat_mul,
     reconstruct,
     sample_ellipsoid,
     simulate,
@@ -23,6 +25,36 @@ from suslovkit.flow import (
 from suslovkit.measures import density_params, density_spec, first_integral_F
 
 from conftest import draw_params
+
+
+def _scipy_route(rhs, t0, y0, t1, after_step):
+    """Oracle: scipy's DOP853 with its own per-step dense output, joined by
+    OdeSolution; after_step(solver) runs after each step's dense output is
+    taken, as the package's projection or renormalization does. Returns the
+    step times and the joined solution."""
+    solver = DOP853(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12)
+    ts, interps = [t0], []
+    while solver.status == "running":
+        solver.step()
+        interps.append(solver.dense_output())
+        after_step(solver)
+        ts.append(solver.t)
+    return np.array(ts), OdeSolution(ts, interps)
+
+
+def _scipy_simulate(params, omega0, T, project_energy):
+    """The run simulate makes at its default tolerances, through _scipy_route."""
+    field = vector_field(params)
+    rhs = lambda t, y: field.eval(y)
+    eta0 = float(energy(params, omega0))
+
+    def project(solver):
+        if project_energy:
+            w = solver.y
+            solver.y = w * np.sqrt(eta0 / float(energy(params, w)))
+            solver.f = rhs(solver.t, solver.y)
+
+    return _scipy_route(rhs, 0.0, omega0, T, project)
 
 
 def _endpoint(field, x0, T, **kw):
@@ -193,6 +225,71 @@ class TestReconstruct:
         traj = simulate(pstar, np.array([0.8, 0.3, 0.5]), 5.0)
         with pytest.raises(ValueError):
             reconstruct(pstar_full, traj)
+
+
+class TestDenseOutput:
+    """Trajectory.dense against scipy's per-step DOP853 dense output."""
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("T", [30.0, -30.0])
+    @pytest.mark.parametrize("which", ["pstar", "pstar_full"])
+    def test_matches_scipy_per_step_dense_output(self, which, T, project, request):
+        p = request.getfixturevalue(which)
+        omega0 = np.array([0.3, -0.4, 0.5])
+        traj = simulate(p, omega0, T, project_energy=project)
+        steps, oracle = _scipy_simulate(p, omega0, T, project)
+        np.testing.assert_array_equal(np.sort(steps), traj.times)
+        lo, hi = traj.times[0], traj.times[-1]
+        pad = 0.01 * (hi - lo)
+        # every step boundary, in the run's order, then a grid 1% past both ends
+        ts = np.concatenate([steps, np.linspace(lo - pad, hi + pad, 1000 - steps.size)])
+        want = oracle(ts)
+        got = traj.dense(ts)
+        assert got.shape == want.shape == (3, 1000)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for j, t in enumerate(ts):
+            y = traj.dense(t)
+            assert y.shape == (3,)
+            assert np.all(np.abs(y - got[:, j]) <= 2.0 * np.spacing(np.abs(got[:, j])))
+
+    @pytest.mark.parametrize("which", ["pstar", "pstar_full"])
+    def test_reconstruct_matches_scipy_route(self, which, request):
+        p = request.getfixturevalue(which)
+        omega0 = np.array([0.3, -0.4, 0.5])
+        traj = simulate(p, omega0, 40.0)
+        _, omega = _scipy_simulate(p, omega0, 40.0, False)
+        a = np.array([p.a1, p.a2, 1.0])
+
+        def rhs(t, y):
+            w = omega(t)
+            return np.append(0.5 * quat_mul(y[:4], np.array([0.0, *w])), -(a @ w))
+
+        def renormalize(solver):
+            solver.y[:4] /= np.linalg.norm(solver.y[:4])
+            solver.f = rhs(solver.t, solver.y)
+
+        y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        _, att_oracle = _scipy_route(rhs, 0.0, y0, 40.0, renormalize)
+        want = att_oracle(traj.times).T
+        want_q = want[:, :4] / np.linalg.norm(want[:, :4], axis=1, keepdims=True)
+        att = reconstruct(p, traj)
+        assert np.max(np.abs(att.rotations - want_q)) <= 1e-12
+        assert np.max(np.abs(att.theta - want[:, 4])) <= 1e-12
+
+    def test_integrator_counters_pinned(self, pstar):
+        # the figures benchmarks/README.md quotes for simulate(T=100)
+        omega0 = np.array([0.3, -0.4, 0.5])
+        traj = simulate(pstar, omega0, 100.0, tol=1e-10)
+        s = traj.integrator_stats
+        assert (s["n_accepted"], s["n_rejected"], s["nfev"]) == (179, 30, 3047)
+        h = np.diff(traj.times)
+        assert (s["h_min"], s["h_max"]) == (h.min(), h.max())
+        proj = simulate(pstar, omega0, 100.0, tol=1e-10, project_energy=True)
+        assert proj.integrator_stats["nfev"] == 3226
+        back = simulate(pstar, omega0, -100.0, tol=1e-10, record_times=[-50.0])
+        h = np.diff(_scipy_simulate(pstar, omega0, -100.0, False)[0])
+        assert back.integrator_stats["h_min"] == np.abs(h).min() > 0.0
+        assert back.integrator_stats["h_max"] == np.abs(h).max()
 
 
 class TestSampleEllipsoid:
