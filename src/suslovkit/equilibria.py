@@ -111,7 +111,8 @@ def _coefficients(params: SuslovParams, v: Array) -> tuple[float, float]:
     J = vector_field(params).jac(v)
     tr = np.trace(J)
     detKa = matrices(params).detKa
-    return float(-detKa * tr), float(detKa * 0.5 * (tr * tr - np.trace(J @ J)))
+    # + 0.0 turns the -0.0 of a vanishing trace into 0.0
+    return float(-detKa * tr + 0.0), float(detKa * 0.5 * (tr * tr - np.trace(J @ J)))
 
 
 def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
@@ -128,18 +129,18 @@ def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[fl
             (a1 * a1 * K3 + l1) * (l1 - l3) ** 2 + a1 * a1 * K3 * K3 * l3
         )
         alpha = -a2 * K3 * l3 * (a1 * a1 * K3 * (l1 - l2) + l1 * (l1 - l3))
-        return alpha, beta
-    if i == 2:
+    elif i == 2:
         beta = -(l1 - l2) * (l2 - l3) * (
             l2 * (l2 - l3) ** 2 + a2 * a2 * K3 * ((l2 - l3) ** 2 + K3 * l3)
         )
         alpha = -a1 * K3 * l3 * (l2 * (l3 - l2) + a2 * a2 * K3 * (l1 - l2))
-        return alpha, beta
-    if i == 3:
+    elif i == 3:
         beta = (l1 - l3) * (l2 - l3) * l3
         alpha = -a1 * a2 * K3 * (l1 - l2) * l3
-        return alpha, beta
-    raise ValueError("equilibrium index must be 1, 2 or 3")
+    else:
+        raise ValueError("equilibrium index must be 1, 2 or 3")
+    # + 0.0 turns the -0.0 of a vanishing product into 0.0
+    return alpha + 0.0, beta
 
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, simpson
+from scipy.integrate import simpson
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .core import SuslovParams, divergence_analytic, energy, matrices, vector_field
@@ -19,36 +19,193 @@ from .fields import Array, DensitySpec, VectorFieldSpec, divergence
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator cannot continue (step-size underflow)."""
+    """Raised when the integrator cannot continue (step-size underflow or
+    step budget exhausted)."""
 
     def __init__(self, message: str, t_last: float | None = None):
         super().__init__(message)
         self.t_last = t_last
 
 
+#: scipy's DOP853 step-size control (scipy.integrate._ivp.rk): the safety
+#: factor, the bounds on the factor by which one step may change the next, and
+#: the exponent -1/8 of its order-7 error estimator
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+#: DOP853's stages 1 to 11 as (row of A, node c); stage 12 is at the step's end
+_STAGES = [(_dop853.A[s, :s], _dop853.C[s]) for s in range(1, _dop853.N_STAGES)]
+#: accepted-or-rejected step budget of _dop853_steps before it gives up
+_MAX_STEPS = 1_000_000
+
+
+class _Step(NamedTuple):
+    """One accepted step of _dop853_steps. y_new is the step's own end state,
+    which its interpolant ends at; y is the state the next step starts from,
+    project(y_new) when a project hook is given. K holds the 13 stage rates
+    in the loop's buffer, which the next step overwrites."""
+
+    t_old: float
+    t: float
+    y_old: Array
+    y_new: Array
+    K: Array
+    y: Array
+
+
+def _sq_norms(x: Array) -> Array:
+    """Sum of squares down axis 0, per column of a batch (d, n). For one state
+    (d,), and for a batch of one, it is the x.dot(x) that np.linalg.norm
+    takes, bit for bit: each column is one (1, d) @ (d, 1) product."""
+    xt = x.T
+    return (xt[..., None, :] @ xt[..., :, None])[..., 0, 0]
+
+
+def _initial_step(rhs, t0, y0, f0, t1, tol, atol) -> float:
+    """scipy's initial step (select_initial_step; Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4) for an error estimator of order 7. A batch (d, n)
+    takes the smallest step over its columns; a column whose norms are not
+    finite bids the whole interval, so it cannot make the step NaN."""
+    interval = abs(t1 - t0)
+    direction = 1.0 if t1 > t0 else -1.0
+    scale = atol + np.abs(y0) * tol
+    root_d = len(y0) ** 0.5
+    d0 = np.sqrt(_sq_norms(y0 / scale)) / root_d
+    d1 = np.sqrt(_sq_norms(f0 / scale)) / root_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
+        f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
+        d2 = np.sqrt(_sq_norms((f1 - f0) / scale)) / root_d / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.min(np.maximum(1e-6, h0 * 1e-3)[flat], initial=np.inf)
+    # h1 falls as max(d1, d2) grows, so the smallest h1 comes from the largest
+    d12 = np.fmax.reduce(np.maximum(d1, d2)[~flat], initial=0.0)
+    if d12 > 0.0:
+        h1 = min(h1, (0.01 / d12) ** (1 / 8))
+    return min(float(np.min(100 * h0)), h1, interval)
+
+
+def _error_norm(K: Array, h: float, scale: Array) -> float:
+    """scipy's DOP853 error norm of one state, from its 5th- and 3rd-order
+    error estimates. A batch (d, n) gives the norm of its worst column,
+    picked by a vectorized estimate and then computed as for one state."""
+    E5, E3 = _dop853.E5, _dop853.E3
+    if scale.ndim == 2:
+        flat_K = K.reshape(len(K), -1)
+        s5, s3 = (_sq_norms((E @ flat_K).reshape(scale.shape) / scale) for E in (E5, E3))
+        with np.errstate(invalid="ignore", over="ignore"):
+            worst = np.divide(s5, np.sqrt(s5 + 0.01 * s3),
+                              out=np.zeros_like(s5), where=s5 != 0.0)
+        k = np.argmax(worst)  # a NaN column is the worst
+        K, scale = K[..., k], scale[:, k]
+    err5, err3 = E5 @ K / scale, E3 @ K / scale
+    # squares of the 2-norms np.linalg.norm takes, rounded as scipy rounds them
+    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
 def _dop853_steps(
     rhs: Callable[[float, Array], Array], t0: float, y0: Array, t1: float,
-    tol: float, atol: float, what: str,
-) -> Iterator[DOP853]:
-    """Step DOP853 from t0 to t1, yielding the solver after each accepted
-    step; a failed step raises IntegrationError labelled with what.
+    tol: float, atol: float, what: str, stops: Sequence[float] = (),
+    project: Optional[Callable[[Array], Array]] = None,
+    stats: Optional[dict] = None,
+) -> Iterator[_Step]:
+    """Step DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10)
+    from t0 to t1, yielding each accepted step as a _Step.
 
-    The consumer may reset solver.y and solver.f before the next step."""
-    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=atol)
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"{what} failed at t = {solver.t:.6g}: {msg}", t_last=solver.t
-            )
-        yield solver
-
-
-def _step_record(solver: DOP853) -> tuple:
-    """What the dense output needs of the step just accepted: its start and end
-    times, its start state, its end state and its 13 stage rates. Taken before
-    the consumer changes solver.y, which the step's interpolant must not see."""
-    return solver.t_old, solver.t, solver.y_old, solver.y.copy(), solver.K.copy()
+    The state y0 is one state (d,) or a batch (d, n) of columns that share
+    every step; rhs maps a time and a state of that shape to its rate. The
+    tableau is scipy's (scipy.integrate._ivp.dop853_coefficients), and so are
+    the initial step, the minimum step and the step-size control, so on one
+    state with no stops the steps are scipy's DOP853 steps bit for bit. A
+    batch's error norm is that of its worst column; a NaN or infinite norm
+    rejects the step and shrinks it by _MIN_FACTOR. Steps are shortened to
+    land exactly on each of stops (ordered from t0 towards t1), and a step so
+    shortened keeps the proposed size for the next one. After each accepted
+    step the state is replaced by project(y_new) when project is given, and
+    its rate re-evaluated. stats, when given, is kept up to date with
+    n_accepted, n_rejected, nfev (every rhs call) and the smallest and
+    largest accepted |step|, h_min and h_max. A step below 10 spacings of t
+    or more than _MAX_STEPS attempts raise IntegrationError labelled with
+    what, carrying the last accepted time.
+    """
+    direction = 1.0 if t1 > t0 else -1.0
+    stops = [s for s in stops if direction * (t1 - s) > 0.0] + [t1]
+    n_stages = _dop853.N_STAGES
+    counts = {"n_accepted": 0, "n_rejected": 0, "nfev": 2, "h_min": np.inf, "h_max": 0.0}
+    if stats is not None:
+        stats.update(counts)
+        counts = stats
+    # K[0] holds the rate at the state each step starts from
+    K = np.empty((n_stages + 1,) + y0.shape)
+    K2 = K.reshape(n_stages + 1, -1)  # the stages as rows, for the combinations
+    K[0] = rhs(t0, y0)
+    h_abs = _initial_step(rhs, t0, y0, K[0], t1, tol, atol)
+    t, y = t0, y0
+    i_stop = 0
+    attempts = 0
+    while direction * (t - t1) < 0.0:
+        while direction * (stops[i_stop] - t) <= 0.0:
+            i_stop += 1
+        stop = stops[i_stop]
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"{what} failed at t = {t:.6g}: required step size is less "
+                    "than spacing between numbers", t_last=t,
+                )
+            if attempts == _MAX_STEPS:
+                raise IntegrationError(
+                    f"{what} exceeded {_MAX_STEPS} steps at t = {t:.6g}", t_last=t
+                )
+            attempts += 1
+            t_new = t + h_abs * direction
+            clamped = direction * (t_new - stop) > 0.0
+            if clamped:
+                t_new = stop
+            h = t_new - t
+            # each stage state is y + h sum_j a_j K[j], rounded as scipy rounds it
+            for s, (a, c) in enumerate(_STAGES, start=1):
+                K[s] = rhs(t + c * h, y + (a @ K2[:s]).reshape(y.shape) * h)
+            y_new = y + h * (_dop853.B @ K2[:-1]).reshape(y.shape)
+            K[-1] = rhs(t + h, y_new)
+            counts["nfev"] += n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            error_norm = _error_norm(K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                if not clamped:
+                    h_abs = np.abs(h) * factor
+                break
+            if np.isfinite(error_norm):
+                factor = max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            else:
+                factor = _MIN_FACTOR
+            h_abs = np.abs(h) * factor
+            rejected = True
+            counts["n_rejected"] += 1
+        counts["n_accepted"] += 1
+        counts["h_min"] = min(counts["h_min"], float(abs(h)))
+        counts["h_max"] = max(counts["h_max"], float(abs(h)))
+        y_next = y_new if project is None else np.asarray(project(y_new), dtype=float)
+        yield _Step(t, t_new, y, y_new, K, y_next)
+        t, y = t_new, y_next
+        if project is None:
+            K[0] = K[-1]
+        else:
+            K[0] = rhs(t, y)
+            counts["nfev"] += 1
 
 
 def _basis(theta):
@@ -109,7 +266,8 @@ class DenseOutput:
 
 def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> DenseOutput:
     """DOP853's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
-    for every step recorded by _step_record, built after stepping. The three
+    for every step, given as (t_old, t, y_old, y_new, K) from the _Step that
+    _dop853_steps yields, built after stepping. The three
     extra stages depend only on their own step's stages, so each is one
     batched rhs call that maps times (n,) and states (n, d) to rates (n, d);
     the coefficients are those scipy's per-step dense output uses."""
@@ -228,37 +386,21 @@ def integrate(
     if T == 0.0:
         raise ValueError("integration horizon T must be nonzero")
 
-    ncalls = 0
-
-    def rhs(t: float, y: Array) -> Array:
-        nonlocal ncalls
-        ncalls += 1
-        return field.eval(y)
-
+    rhs = lambda t, y: field.eval(y)
     ts = [0.0]
     states = [x0.copy()]
     steps = []
-    n_extra = 0
-    for solver in _dop853_steps(rhs, 0.0, x0, T, tol, atol, "integration"):
-        steps.append(_step_record(solver))
-        if project is not None:
-            solver.y = np.asarray(project(solver.y), dtype=float)
-            solver.f = rhs(solver.t, solver.y)
-            n_extra += 1
-        ts.append(solver.t)
-        states.append(solver.y.copy())
+    stats: dict = {}
+    for step in _dop853_steps(
+        rhs, 0.0, x0, T, tol, atol, "integration", project=project, stats=stats
+    ):
+        steps.append((step.t_old, step.t, step.y_old, step.y_new, step.K.copy()))
+        ts.append(step.t)
+        states.append(step.y)
 
-    n_acc = len(steps)
-    # rhs made 2 start-up calls, 12 per attempted step and n_extra after
-    # projections; nfev also counts the 3 dense-output stages of each step
-    attempts = max(n_acc, round((ncalls - 2 - n_extra) / 12))
-    dense = _dop853_interpolant(lambda t, y: field.eval(y), steps)
-    h = np.abs(np.diff(ts))
-    stats = {
-        "n_accepted": n_acc, "n_rejected": int(attempts - n_acc),
-        "nfev": ncalls + 3 * n_acc,
-        "h_min": float(h.min()), "h_max": float(h.max()),
-    }
+    dense = _dop853_interpolant(rhs, steps)
+    # nfev also counts the 3 dense-output stages of each step
+    stats["nfev"] += 3 * stats["n_accepted"]
 
     if record_times is not None:
         grid = np.asarray(record_times, dtype=float)
@@ -310,24 +452,6 @@ def simulate(
     )
 
 
-# Dormand-Prince 5(4) tableau for the vectorized batch integrator.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-#: accepted-or-rejected step budget of integrate_batch before it gives up
-_BATCH_MAX_STEPS = 1_000_000
-
-
 def integrate_batch(
     field: VectorFieldSpec,
     x0: Array,
@@ -338,70 +462,36 @@ def integrate_batch(
 ) -> tuple[Array, list[tuple[float, Array]]]:
     """Integrate a batch of initial states with one shared adaptive step.
 
-    Embedded 5(4) pair; the error norm is the worst per-sample RMS, so the
-    step honors the tolerance for every member of the batch. record_times
-    are hit exactly by clamping the step. Returns the endpoint states and
-    the recorded (time, states) snapshots.
+    The DOP853 loop of integrate, run on all states at once: the error norm
+    is that of the worst state, so the step honors the tolerance for every
+    member of the batch, and a batch of one state takes integrate's steps.
+    The states are kept column-major, so the field evaluates each stage
+    without a copy. record_times, in (0, T], are hit exactly by shortening
+    the step. Returns the endpoint states and the recorded (time, states)
+    snapshots.
     """
-    Y = np.array(x0, dtype=float)
+    Y = np.asarray(x0, dtype=float)
     if Y.ndim == 1:
         Y = Y[None, :]
     if T == 0.0:
         return Y.copy(), []
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
-    if rec.size and (np.min(s * rec) <= 0.0 or np.max(s * rec) > s * T + 1e-12):
+    if rec.size and (np.min(s * rec) <= 0.0 or np.max(s * rec) > s * T):
         raise ValueError("record_times must lie in (0, T]")
 
-    t = 0.0
-    h = s * abs(T) * 1e-3
-    k1 = field.eval(Y)
+    # a (d, n) C-ordered state is the (n, d) column-major batch, transposed
+    rhs = lambda t, z: field.eval(z.T).T
+    Z = np.asfortranarray(Y).T
     recorded: list[tuple[float, Array]] = []
     i_rec = 0
-    tiny = 1e-14 * abs(T)
-    for _ in range(_BATCH_MAX_STEPS):
-        if s * (T - t) <= tiny:
-            break
-        if abs(h) < 1e-15 * max(1.0, abs(T)):
-            raise IntegrationError(f"step size underflow at t = {t:.6g}", t_last=t)
-        h_step = s * min(abs(h), abs(T - t))
-        clamped = False
-        if i_rec < rec.size and s * (t + h_step) >= s * rec[i_rec] - tiny:
-            h_step = rec[i_rec] - t
-            clamped = True
-
-        K = [k1]
-        for row in _DP_A[1:6]:
-            acc = Y + h_step * sum(a * k for a, k in zip(row, K))
-            K.append(field.eval(acc))
-        y_new = Y + h_step * sum(b * k for b, k in zip(_DP_B[:6], K[:6]))
-        # the last stage sits at y_new itself (FSAL), so it seeds the next step
-        k7 = field.eval(y_new)
-        err = h_step * (sum(e * k for e, k in zip(_DP_E[:6], K[:6])) + _DP_E[6] * k7)
-        sc = atol + tol * np.maximum(np.abs(Y), np.abs(y_new))
-        with np.errstate(invalid="ignore"):
-            errnorm = float(np.max(np.sqrt(np.mean((err / sc) ** 2, axis=-1))))
-        if not np.isfinite(errnorm):
-            h *= 0.2
-            continue
-        if errnorm <= 1.0:
-            t = rec[i_rec] if clamped else t + h_step
-            Y = y_new
-            k1 = k7
-            if clamped:
-                recorded.append((t, Y.copy()))
-                i_rec += 1
-        factor = min(5.0, max(0.2, 0.9 * errnorm ** -0.2 if errnorm > 0.0 else 5.0))
-        if clamped:
-            # a clamped step says nothing about the natural step size unless
-            # it was rejected, in which case the trial step must shrink too
-            if errnorm > 1.0:
-                h = s * abs(h_step) * factor
-        else:
-            h = s * abs(h_step) * factor
-    else:
-        raise IntegrationError(f"exceeded {_BATCH_MAX_STEPS} steps at t = {t:.6g}", t_last=t)
-    return Y, recorded
+    for step in _dop853_steps(rhs, 0.0, Z, T, tol, atol, "batch integration", stops=rec):
+        Z = step.y
+        while i_rec < rec.size and rec[i_rec] == step.t:
+            recorded.append((rec[i_rec], Z.T.copy()))
+            i_rec += 1
+        del step  # its start state need not stay alive through the next step
+    return Z.T, recorded
 
 
 def _augmented_field(field: VectorFieldSpec) -> VectorFieldSpec:
@@ -438,11 +528,11 @@ def flow_map_with_jacobian(
         return x0.copy(), np.eye(dim)
     aug = _augmented_field(field)
     y0 = np.concatenate([x0, np.eye(dim).ravel()])
-    for solver in _dop853_steps(
+    for step in _dop853_steps(
         lambda s, y: aug.eval(y), 0.0, y0, t, tol, atol, "variational integration"
     ):
         pass
-    return solver.y[:dim].copy(), solver.y[dim:].reshape(dim, dim).copy()
+    return step.y[:dim].copy(), step.y[dim:].reshape(dim, dim).copy()
 
 
 #: Simpson nodes for the divergence quadrature of liouville_residual
@@ -544,12 +634,16 @@ def reconstruct(
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.append(g0 / nrm, float(theta0))
-    steps = []
-    for solver in _dop853_steps(rhs, t0, y0, t1, tol, atol, "attitude integration"):
-        steps.append(_step_record(solver))
-        q = solver.y[:4]
-        solver.y[:4] = q / np.linalg.norm(q)
-        solver.f = rhs(solver.t, solver.y)
+
+    def renormalize(y: Array) -> Array:
+        return np.concatenate([y[:4] / np.linalg.norm(y[:4]), y[4:]])
+
+    steps = [
+        (step.t_old, step.t, step.y_old, step.y_new, step.K.copy())
+        for step in _dop853_steps(
+            rhs, t0, y0, t1, tol, atol, "attitude integration", project=renormalize
+        )
+    ]
     dense_att = _dop853_interpolant(rhs, steps)
     samples = dense_att(traj.times).T
     quats = samples[:, :4]
@@ -730,9 +824,12 @@ def _log_volume_flow(
 
     def evaluate(y: Array) -> Array:
         x = y[..., :dim]
-        return np.concatenate([field.eval(x), divergence(field, x)[..., None]], axis=-1)
+        # the divergence first, so its Jacobians are freed before eval allocates
+        div = divergence(field, x)[..., None]
+        return np.concatenate([field.eval(x), div], axis=-1)
 
-    y0 = np.concatenate([x0, np.zeros((len(x0), 1))], axis=1)
+    y0 = np.zeros((len(x0), dim + 1), order="F")
+    y0[:, :dim] = x0
     y_end, _ = integrate_batch(
         VectorFieldSpec(dim=dim + 1, eval=evaluate), y0, t, tol=tol, atol=atol
     )

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,17 @@ class TestAnalyze:
             src = "+" if r.source_sign > 0 else "-"
             snk = "+" if r.sink_sign > 0 else "-"
             assert line.endswith(f"SourceSinkPair (source {src}v{i}, sink {snk}v{i})")
+
+    def test_vanishing_alpha_prints_zero(self, params_file, tmp_path, capsys):
+        # lines 1 and 3 of an a2 = 0 set have alpha = 0, never -0
+        out = str(tmp_path / "a.json")
+        assert main(["analyze", "--params", params_file("p", 1.0, 0.0), "--out", out]) == 0
+        table = capsys.readouterr().out.splitlines()[1:4]
+        alphas = [line.split(")", 1)[1].split()[0] for line in table]
+        assert (alphas[0], alphas[2]) == ("0", "0")
+        for e in _load_report(out)["equilibria"]:
+            assert e["alpha"] != 0.0 or math.copysign(1.0, e["alpha"]) == 1.0
+        assert "-0.0," not in Path(out).read_text()
 
     def test_config_echo(self, params_file, tmp_path):
         out = str(tmp_path / "a.json")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,14 @@ class TestStabilityCoefficients:
         alpha3, beta3 = stability_coefficients(pstar, 3)
         assert alpha3 == pytest.approx(0.0, abs=1e-9)
         assert beta3 == pytest.approx(3.75, rel=1e-9)
+
+    @pytest.mark.parametrize("a1, a2", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])
+    def test_vanishing_alpha_is_positive_zero(self, a1, a2):
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=a1, a2=a2)
+        for route in (stability_coefficients, stability_coefficients_closed_form):
+            for i in (1, 2, 3):
+                alpha, _ = route(p, i)
+                assert alpha != 0.0 or math.copysign(1.0, alpha) == 1.0
 
     def test_matches_closed_forms(self, rng):
         for _ in range(200):

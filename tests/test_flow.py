@@ -342,6 +342,56 @@ class TestBatchIntegrator:
         with pytest.raises(ValueError):
             integrate_batch(f, np.zeros((1, 3)), 5.0, record_times=(6.0,))
 
+    @pytest.mark.parametrize("T", [7.0, -7.0])
+    def test_one_row_is_integrate_bit_for_bit(self, pstar_full, T):
+        # one loop: a batch of one state takes integrate's steps exactly
+        f = vector_field(pstar_full)
+        x0 = np.array([0.5, 0.2, 0.9])
+        Y, recs = integrate_batch(f, x0[None, :], T, tol=1e-10, atol=1e-12)
+        assert recs == []
+        np.testing.assert_array_equal(Y[0], _endpoint(f, x0, T, tol=1e-10, atol=1e-12))
+
+    def test_rows_match_scipy_dop853(self, pstar_full):
+        f = vector_field(pstar_full)
+        x0 = np.array([[0.5, 0.2, 0.9], [1.0, -0.3, 0.4], [-0.6, 0.8, 0.1]])
+        Y, _ = integrate_batch(f, x0, 7.0, tol=1e-10, atol=1e-12)
+        for x, y in zip(x0, Y):
+            _, oracle = _scipy_route(lambda t, w: f.eval(w), 0.0, x, 7.0, lambda s: None)
+            assert np.max(np.abs(y - oracle(7.0))) <= 1e-8
+
+    def test_blowup_reports_last_time(self):
+        quad = VectorFieldSpec(dim=1, eval=lambda x: x ** 2)
+        with pytest.raises(IntegrationError, match="batch") as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                integrate_batch(quad, np.array([[1.0], [0.5]]), 3.0)
+        assert exc.value.t_last == pytest.approx(1.0, abs=0.05)
+
+    def test_nan_row_ends_in_an_error(self, pstar):
+        # its error norm is NaN, so every attempt shrinks the step until it
+        # falls below the minimum step
+        f = vector_field(pstar)
+        x0 = np.array([[0.5, 0.2, 0.9], [np.nan, 0.2, 0.9]])
+        with pytest.raises(IntegrationError, match="step size") as exc:
+            integrate_batch(f, x0, 5.0)
+        assert exc.value.t_last == 0.0
+
+
+def test_scipy_dop853_tableau_guard():
+    # _dop853_steps and _dop853_interpolant read scipy's private tableau; a
+    # scipy release that moves or changes it fails here, by name
+    from scipy.integrate._ivp import dop853_coefficients as c
+
+    assert (c.N_STAGES, c.N_STAGES_EXTENDED, c.INTERPOLATOR_POWER) == (12, 16, 7)
+    assert c.A.shape == (16, 16) and c.C.shape == (16,) and c.D.shape == (4, 16)
+    assert c.B.shape == (12,) and c.E3.shape == c.E5.shape == (13,)
+    assert not np.triu(c.A).any()
+    for s in range(c.N_STAGES_EXTENDED):
+        assert abs(c.A[s, :s].sum() - c.C[s]) <= 1e-14
+    assert abs(c.B.sum() - 1.0) <= 1e-14
+    assert abs(c.E3.sum()) <= 1e-14 and abs(c.E5.sum()) <= 1e-14
+    # the 13th stage is the rate at the step's end state, which seeds the next step
+    assert c.C[12] == 1.0 and np.array_equal(c.A[12, :12], c.B)
+
 
 class TestDetectAttractor:
     def test_sine_squared_line_field(self):
