@@ -11,7 +11,6 @@ the divergence along flows, Monte Carlo transport of measure).
 from .core import (
     SuslovParams,
     SystemMatrices,
-    divergence_analytic,
     energy,
     load_params,
     matrices,
@@ -35,7 +34,6 @@ from .fields import (
     example1d,
     example2d,
     example2d_density,
-    fd_divergence,
     fd_gradient,
     fd_jacobian,
 )
@@ -59,7 +57,6 @@ from .flow import (
 from .measures import (
     ClassADensityParams,
     classA_measure_exists,
-    density_M,
     density_params,
     density_spec,
     divergence_witness,
@@ -89,12 +86,10 @@ __all__ = [
     "VectorFieldSpec",
     "classA_measure_exists",
     "classify",
-    "density_M",
     "density_params",
     "density_spec",
     "detect_attractor",
     "divergence",
-    "divergence_analytic",
     "divergence_witness",
     "energy",
     "equilibrium_directions",
@@ -102,7 +97,6 @@ __all__ = [
     "example2d",
     "example2d_density",
     "exclusion_radius",
-    "fd_divergence",
     "fd_gradient",
     "fd_jacobian",
     "first_integral_F",

@@ -116,8 +116,9 @@ def load_params(source: str | Mapping[str, float]) -> SuslovParams:
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """The matrices Ka, Ba of the reduced system, with Ka^{-1} precomputed
-    in closed form since field evaluation sits in the integrator hot loop."""
+    """The matrices Ka, Ba of the reduced system, with Ka^{-1} in closed
+    form (Ka is block diagonal), from which vector_field builds its tensor Q
+    once."""
 
     Ka: Array
     Ba: Array
@@ -193,22 +194,3 @@ def multiplier_zeta(params: SuslovParams, omega: Array) -> Array:
     X = vector_field(params).eval(omega)
     return -params.K3 * (params.a1 * X[..., 0] + params.a2 * X[..., 1])
 
-
-def _divergence_covector(params: SuslovParams) -> tuple[float, float, float]:
-    """Coefficients c of the linear divergence, div X = <c, Omega>:
-
-        c = (lam3 K3 / det Ka) (-a2 lam1, a1 lam2, a1 a2 (lam1 - lam2)).
-    """
-    l1, l2, l3 = params.lam
-    a1, a2 = params.a1, params.a2
-    pref = l3 * params.K3 / matrices(params).detKa
-    return (pref * -a2 * l1, pref * a1 * l2, pref * a1 * a2 * (l1 - l2))
-
-
-def divergence_analytic(params: SuslovParams, omega: Array) -> Array:
-    """Closed-form divergence of the reduced field, <c, Omega> with the
-    covector c of _divergence_covector; identically zero exactly when
-    a1 = a2 = 0."""
-    omega = np.asarray(omega, dtype=float)
-    c1, c2, c3 = _divergence_covector(params)
-    return c1 * omega[..., 0] + c2 * omega[..., 1] + c3 * omega[..., 2]

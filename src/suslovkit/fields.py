@@ -80,11 +80,6 @@ def _trace(J: Array) -> Array:
     return np.einsum("...ii->...", J)
 
 
-def fd_divergence(spec: VectorFieldSpec, x: Array) -> Array:
-    """Central-difference divergence (trace of the finite-difference Jacobian)."""
-    return _trace(fd_jacobian(spec.eval, x))
-
-
 def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
     """The field's analytic Jacobian when it has one, else central differences."""
     x = np.asarray(x, dtype=float)
@@ -92,7 +87,8 @@ def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
 
 
 def divergence(spec: VectorFieldSpec, x: Array) -> Array:
-    """Divergence of the field, analytic when a Jacobian is available."""
+    """Divergence of the field: the trace of its Jacobian, or of the
+    central-difference Jacobian of eval when the spec has none."""
     return _trace(_jacobian(spec, x))
 
 

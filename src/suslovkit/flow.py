@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .core import SuslovParams, divergence_analytic, energy, matrices, vector_field
+from .core import SuslovParams, energy, matrices, vector_field
 from .equilibria import equilibrium_directions, scale_to_ellipsoid
 from .fields import Array, DensitySpec, VectorFieldSpec, divergence
 
@@ -36,6 +36,9 @@ _ERROR_EXPONENT = -1.0 / 8.0
 _STAGES = [(_dop853.A[s, :s], _dop853.C[s]) for s in range(1, _dop853.N_STAGES)]
 #: accepted-or-rejected step budget of _dop853_steps before it gives up
 _MAX_STEPS = 1_000_000
+#: relative and absolute tolerances of the variational, Liouville and
+#: attitude integrations
+_TOL, _ATOL = 1e-10, 1e-12
 
 
 class _Step(NamedTuple):
@@ -514,11 +517,7 @@ def _augmented_field(field: VectorFieldSpec) -> VectorFieldSpec:
 
 
 def flow_map_with_jacobian(
-    field: VectorFieldSpec,
-    x0: Array,
-    t: float,
-    tol: float = 1e-10,
-    atol: float = 1e-12,
+    field: VectorFieldSpec, x0: Array, t: float
 ) -> tuple[Array, Array]:
     """Endpoint phi_t(x0) and the flow-map Jacobian D phi_t(x0), computed
     jointly from the variational equations with D(0) = identity."""
@@ -529,7 +528,7 @@ def flow_map_with_jacobian(
     aug = _augmented_field(field)
     y0 = np.concatenate([x0, np.eye(dim).ravel()])
     for step in _dop853_steps(
-        lambda s, y: aug.eval(y), 0.0, y0, t, tol, atol, "variational integration"
+        lambda s, y: aug.eval(y), 0.0, y0, t, _TOL, _ATOL, "variational integration"
     ):
         pass
     return step.y[:dim].copy(), step.y[dim:].reshape(dim, dim).copy()
@@ -539,22 +538,22 @@ def flow_map_with_jacobian(
 _LIOUVILLE_QUAD_POINTS = 2001
 
 
-def liouville_residual(
-    params: SuslovParams,
-    omega0: Array,
-    t: float,
-    tol: float = 1e-10,
-    atol: float = 1e-12,
-) -> dict:
+def liouville_residual(params: SuslovParams, omega0: Array, t: float) -> dict:
     """Two independent routes to the volume growth log det D phi_t: the
-    variational Jacobian versus quadrature of the analytic divergence along
-    the orbit. Their difference is the reported residual."""
+    variational Jacobian versus quadrature of the divergence along the orbit.
+    Their difference is the reported residual. The quadrature takes the
+    divergence by central differences of the field's eval, not from its jac,
+    which the variational route integrates: Liouville's formula holds for any
+    J, so a trace of that same jac would agree with it even where it is
+    wrong. Central differences are exact for the quadratic field up to
+    rounding."""
     field = vector_field(params)
-    _, D = flow_map_with_jacobian(field, omega0, t, tol=tol, atol=atol)
+    _, D = flow_map_with_jacobian(field, omega0, t)
     sign, logdet = np.linalg.slogdet(D)
-    traj = integrate(field, omega0, t, tol=tol, atol=atol)
+    traj = integrate(field, omega0, t, tol=_TOL, atol=_ATOL)
     ts = np.linspace(0.0, t, _LIOUVILLE_QUAD_POINTS)
-    div_vals = divergence_analytic(params, traj.dense(ts).T)
+    eval_only = VectorFieldSpec(dim=field.dim, eval=field.eval)
+    div_vals = divergence(eval_only, traj.dense(ts).T)
     quad = float(simpson(div_vals, x=ts))
     return {
         "det_sign": float(sign),
@@ -579,8 +578,6 @@ def quat_mul(q: Array, r: Array) -> Array:
 def _trajectory_matches_field(field: VectorFieldSpec, traj: Trajectory) -> bool:
     """Check that the dense trajectory solves this field (guards against
     reconstructing with mismatched parameters)."""
-    if traj.dense is None:
-        return True
     t0, t1 = traj.times[0], traj.times[-1]
     span = t1 - t0
     delta = 1e-6 * max(span, 1.0)
@@ -594,20 +591,14 @@ def _trajectory_matches_field(field: VectorFieldSpec, traj: Trajectory) -> bool:
     return True
 
 
-def reconstruct(
-    params: SuslovParams,
-    traj: Trajectory,
-    g0: Array = (1.0, 0.0, 0.0, 0.0),
-    theta0: float = 0.0,
-    tol: float = 1e-10,
-    atol: float = 1e-12,
-) -> AttitudeTrajectory:
+def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     """Reconstruct the carrier attitude and rotor angle along a trajectory,
 
         dg/dt = g hat(Omega),   dtheta/dt = -<a, Omega>,
 
     integrating quaternions against the dense angular-velocity history with
-    per-step renormalization. g0 is the attitude at the first stored time.
+    per-step renormalization, from the identity attitude and theta = 0 at
+    the first stored time.
     The rhs reads Omega from traj.dense and takes one time and state or a
     batch of them, so the attitude's own dense output, which samples it at
     traj.times, is built like integrate's, after stepping.
@@ -616,12 +607,6 @@ def reconstruct(
         raise ValueError("reconstruction needs a trajectory with dense output")
     if not _trajectory_matches_field(vector_field(params), traj):
         raise ValueError("trajectory is inconsistent with the supplied parameters")
-    g0 = np.asarray(g0, dtype=float)
-    if g0.shape != (4,):
-        raise ValueError("g0 must be a quaternion (4 components, scalar first)")
-    nrm = np.linalg.norm(g0)
-    if nrm == 0.0:
-        raise ValueError("g0 must be a nonzero quaternion")
     a1, a2 = params.a1, params.a2
     dense_omega = traj.dense
 
@@ -633,7 +618,7 @@ def reconstruct(
         return np.concatenate([dq, [dth]]).T
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
-    y0 = np.append(g0 / nrm, float(theta0))
+    y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
 
     def renormalize(y: Array) -> Array:
         return np.concatenate([y[:4] / np.linalg.norm(y[:4]), y[4:]])
@@ -641,7 +626,7 @@ def reconstruct(
     steps = [
         (step.t_old, step.t, step.y_old, step.y_new, step.K.copy())
         for step in _dop853_steps(
-            rhs, t0, y0, t1, tol, atol, "attitude integration", project=renormalize
+            rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration", project=renormalize
         )
     ]
     dense_att = _dop853_interpolant(rhs, steps)
@@ -856,6 +841,8 @@ def _standard_error(values: Array, vol: float, what: str) -> float:
 #: relative and absolute tolerances of measure_transport_check's integration
 _TRANSPORT_TOL = 1e-8
 _TRANSPORT_ATOL = 1e-10
+#: at most this many of measure_transport_check's N samples are transported
+_TRANSPORT_MAX_SAMPLES = 100_000
 
 
 def measure_transport_check(
@@ -865,20 +852,18 @@ def measure_transport_check(
     t: float,
     N: int,
     seed: int,
-    transport_samples: Optional[int] = None,
 ) -> TransportReport:
     """Monte Carlo check of measure invariance mu(phi_t(A)) = mu(A).
 
     mu(A) is estimated directly from N uniform samples in the box A; the
     transported measure uses the change of variables
     mu(phi_t(A)) = integral over A of M(phi_t(x)) |det D phi_t(x)| dx on the
-    first transport_samples of them (default min(N, 100000)). The volume
-    factor comes from Liouville's formula, log|det D phi_t(x)| = integral
-    from 0 to t of div X(phi_s(x)) ds, integrated as one extra state beside
-    x; the variational route of flow_map_with_jacobian is its test oracle.
-    Needs N >= 2 and 2 <= transport_samples <= N. Raises ValueError when the
-    density at the box samples, a transport weight, or a standard error is
-    not finite.
+    first min(N, _TRANSPORT_MAX_SAMPLES) of them. The volume factor comes
+    from Liouville's formula, log|det D phi_t(x)| = integral from 0 to t of
+    div X(phi_s(x)) ds, integrated as one extra state beside x; the
+    variational route of flow_map_with_jacobian is its test oracle. Needs
+    N >= 2. Raises ValueError when the density at the box samples, a
+    transport weight, or a standard error is not finite.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
@@ -889,11 +874,7 @@ def measure_transport_check(
         raise ValueError("box must have positive widths")
     if N < 2:
         raise ValueError(f"N must be at least 2 for a standard error, got {N}")
-    n_t = min(N, 100_000) if transport_samples is None else int(transport_samples)
-    if not 2 <= n_t <= N:
-        raise ValueError(
-            f"transport_samples must lie in [2, N] = [2, {N}], got {transport_samples}"
-        )
+    n_t = min(N, _TRANSPORT_MAX_SAMPLES)
     vol = float(np.prod(widths))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = A[:, 0] + rng.uniform(size=(N, dim)) * widths

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SuslovParams, _divergence_covector, divergence_analytic, vector_field
+from .core import SuslovParams, vector_field
 from .fields import (
     Array,
     DensitySpec,
@@ -24,6 +24,7 @@ from .fields import (
     VectorFieldSpec,
     _jacobian,
     _trace,
+    divergence,
     example2d,
     example2d_density,
     fd_gradient,
@@ -104,11 +105,6 @@ def _plane_factors(dp: ClassADensityParams, omega: Array) -> tuple[Array, Array]
     u_plus = omega[..., 0] - dp.xi_plus * omega[..., 2]
     u_minus = omega[..., 0] - dp.xi_minus * omega[..., 2]
     return u_plus, u_minus
-
-
-def density_M(params: SuslovParams, dp: ClassADensityParams, omega: Array) -> Array:
-    """Evaluate the stationary density M; exactly zero on the planes pi+-."""
-    return density_spec(params, dp).eval(omega)
 
 
 def first_integral_F(params: SuslovParams, dp: ClassADensityParams, omega: Array) -> Array:
@@ -200,7 +196,10 @@ def residual_scale(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Ar
 
 
 def _fd_exclusion(exponents: tuple[float, float], tol: float) -> float:
-    """Exclusion radius for a density with these two factor exponents."""
+    """Exclusion radius for a density with these two factor exponents, at a
+    finite positive tolerance tol."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     C = max(abs((q - 1.0) * (q - 2.0)) for q in (*exponents, sum(exponents)))
     return FD_STEP_UNIT * float(np.sqrt(C * _EXCLUSION_SAFETY / (6.0 * tol)))
 
@@ -223,7 +222,10 @@ def _rejection_sample(
     keep: Callable[[Array], Array], excl: float,
 ) -> Array:
     """The first count uniform draws from the cube [-bound, bound]^dim that
-    pass keep; raises ValueError after _MAX_REJECTION_ROUNDS rounds."""
+    pass keep; raises ValueError unless count >= 1, or after
+    _MAX_REJECTION_ROUNDS rounds."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     out: list[Array] = []
     have = 0
@@ -357,22 +359,24 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     """Largest sampled |div X| over the unit ball: positive exactly when a
     positive C1 stationary density is obstructed ((a1, a2) != (0, 0)).
 
-    The divergence is linear in Omega, so its true supremum over the unit
-    ball is the norm of its coefficient vector; the sampled maximum is
+    The divergence is the trace of the field's Jacobian (fields.divergence).
+    It is linear in Omega, so div X = <c, Omega> with c_k = div X(e_k), and
+    its true supremum over the unit ball is |c|; the sampled maximum is
     checked against that bound.
     """
+    field = vector_field(params)
     rng = np.random.Generator(np.random.Philox(key=seed))
     w = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     w = w[np.linalg.norm(w, axis=1) <= 1.0]
-    vals = np.abs(divergence_analytic(params, w))
-    coef = np.array(_divergence_covector(params))
+    vals = np.abs(divergence(field, w))
+    sup = float(np.linalg.norm(divergence(field, np.eye(3))))
     return {
         "claim": "div X vanishes identically iff a1 = a2 = 0",
         "params": params.to_dict(),
         "sample_count": int(len(w)),
         "max_divergence": float(np.max(vals)),
-        "supremum_unit_ball": float(np.linalg.norm(coef)),
-        "divergence_free": bool(np.linalg.norm(coef) == 0.0),
+        "supremum_unit_ball": sup,
+        "divergence_free": sup == 0.0,
         "positive_c1_measure_exists": positive_c1_measure_exists(params),
         "classA_measure_exists": classA_measure_exists(params),
     }

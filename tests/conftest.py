@@ -1,12 +1,13 @@
 """Shared fixtures: the reference parameter set in its three constraint
-regimes, plus seeded random parameter draws."""
+regimes, seeded random parameter draws, and the closed-form divergence the
+package's divergence is checked against."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from suslovkit import SuslovParams, validate
+from suslovkit import SuslovParams, matrices, validate
 from suslovkit.measures import density_params
 
 # Every checkout runs the same examples: each property test is seeded from
@@ -43,6 +44,26 @@ def draw_classA_params(rng: np.random.Generator) -> SuslovParams:
         dp = density_params(p)
         if 0.3 <= dp.gamma <= 2.5:
             return p
+
+
+def divergence_covector(params: SuslovParams) -> tuple[float, float, float]:
+    """Coefficients c of the linear divergence, div X = <c, Omega>, in
+    closed form:
+
+        c = (lam3 K3 / det Ka) (-a2 lam1, a1 lam2, a1 a2 (lam1 - lam2)).
+    """
+    l1, l2, l3 = params.lam
+    a1, a2 = params.a1, params.a2
+    pref = l3 * params.K3 / matrices(params).detKa
+    return (pref * -a2 * l1, pref * a1 * l2, pref * a1 * a2 * (l1 - l2))
+
+
+def divergence_closed_form(params: SuslovParams, omega: np.ndarray) -> np.ndarray:
+    """<c, Omega> with the closed-form covector c; identically zero exactly
+    when a1 = a2 = 0."""
+    omega = np.asarray(omega, dtype=float)
+    c1, c2, c3 = divergence_covector(params)
+    return c1 * omega[..., 0] + c2 * omega[..., 1] + c3 * omega[..., 2]
 
 
 @pytest.fixture

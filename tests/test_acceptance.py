@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suslovkit.core import divergence_analytic, validate, vector_field
+from suslovkit.core import validate, vector_field
 from suslovkit.equilibria import (
     Classification,
     classify,
     stability_coefficients,
     stability_coefficients_closed_form,
 )
-from suslovkit.fields import example2d, example2d_density, fd_jacobian
+from suslovkit.fields import divergence, example2d, example2d_density, fd_jacobian
 from suslovkit.flow import (
     flow_map_with_jacobian,
     integrate,
@@ -32,7 +32,7 @@ from suslovkit.measures import (
 )
 from suslovkit.cli import main
 
-from conftest import draw_classA_params, draw_params
+from conftest import divergence_closed_form, draw_classA_params, draw_params
 
 PSTAR = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=0.0)
 PSTAR_FULL = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)
@@ -50,7 +50,7 @@ def test_criterion_01_divergence_formula():
         p = draw_params(rng)
         f = vector_field(p)
         omegas = rng.normal(size=(10, 3))
-        dv = divergence_analytic(p, omegas)
+        dv = divergence_closed_form(p, omegas)
         tr = np.trace(f.jac(omegas), axis1=-2, axis2=-1)
         tr_fd = np.trace(fd_jacobian(f.eval, omegas), axis1=-2, axis2=-1)
         scale = np.maximum(1.0, np.abs(tr))
@@ -72,7 +72,7 @@ def test_criterion_02_divergence_free_predicate():
     results = {}
     for a1, a2 in itertools.product((-1.0, 0.0, 1.0), repeat=2):
         p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=a1, a2=a2)
-        results[(a1, a2)] = float(np.max(np.abs(divergence_analytic(p, grid))))
+        results[(a1, a2)] = float(np.max(np.abs(divergence(vector_field(p), grid))))
     ok = all(
         (val == 0.0) if (a1 == 0.0 and a2 == 0.0) else (val > 1e-6)
         for (a1, a2), val in results.items()

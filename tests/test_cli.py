@@ -263,6 +263,21 @@ class TestVerify:
         assert main(["verify", "suslov", "--params", str(f)]) == 2
         assert "exclusion radius 26.7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["suslov", "example2d"])
+    @pytest.mark.parametrize("option, named", [
+        ("--tol=0", "tol"),
+        ("--tol=nan", "tol"),
+        ("--tol=-1e-6", "tol"),
+        ("--samples=0", "sample count"),
+    ])
+    def test_bad_tol_or_samples_is_an_error(self, params_file, capsys, target,
+                                            option, named):
+        rc = main(["verify", target, "--params", params_file("p", 1.0, 0.0), option])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert len(err.splitlines()) == 1
+
     def test_deterministic_report(self, params_file, tmp_path):
         pf = params_file("p", 1.0, 0.0)
         o1, o2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")

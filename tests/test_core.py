@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from suslovkit.core import (
     SuslovParams,
-    divergence_analytic,
     energy,
     load_params,
     matrices,
@@ -14,9 +13,9 @@ from suslovkit.core import (
     validate,
     vector_field,
 )
-from suslovkit.fields import fd_jacobian
+from suslovkit.fields import divergence, fd_jacobian
 
-from conftest import draw_params
+from conftest import divergence_closed_form, draw_params
 
 omega_strategy = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False),
@@ -249,23 +248,28 @@ class TestMultiplierZeta:
 
 
 class TestDivergence:
+    """The package's one divergence, the trace of the field's Jacobian,
+    against the closed form and central differences."""
+
     def test_euler_identically_zero(self, euler, rng):
+        f = vector_field(euler)
         for omega in rng.normal(size=(20, 3)):
-            assert divergence_analytic(euler, omega) == 0.0
+            assert divergence(f, omega) == 0.0
 
     def test_reference_values(self, pstar):
-        assert divergence_analytic(pstar, np.array([0.0, 1.0, 0.0])) == \
+        f = vector_field(pstar)
+        assert divergence(f, np.array([0.0, 1.0, 0.0])) == \
             pytest.approx(2.5 / 11.25, rel=1e-14)
-        assert divergence_analytic(pstar, np.array([1.0, 0.0, 5.0])) == 0.0
+        assert divergence(f, np.array([1.0, 0.0, 5.0])) == 0.0
 
     def test_matches_jacobian_trace(self, rng):
+        # the Jacobian's trace against the closed-form covector
         for _ in range(200):
             p = draw_params(rng)
-            f = vector_field(p)
             omega = rng.normal(size=3)
-            tr = np.trace(f.jac(omega))
-            dv = divergence_analytic(p, omega)
-            assert abs(dv - tr) <= 1e-8 * max(1.0, abs(tr))
+            dv = divergence(vector_field(p), omega)
+            cf = divergence_closed_form(p, omega)
+            assert abs(dv - cf) <= 1e-8 * max(1.0, abs(cf))
 
     def test_matches_fd_trace(self, rng):
         for _ in range(50):
@@ -273,14 +277,8 @@ class TestDivergence:
             f = vector_field(p)
             omega = rng.normal(size=3)
             tr = np.trace(fd_jacobian(f.eval, omega))
-            dv = divergence_analytic(p, omega)
+            dv = divergence(f, omega)
             assert abs(dv - tr) <= 1e-6 * max(1.0, abs(tr))
-
-    def test_vectorized_over_points(self, pstar_full, rng):
-        pts = rng.normal(size=(9, 3))
-        batch = divergence_analytic(pstar_full, pts)
-        for k in range(9):
-            assert batch[k] == divergence_analytic(pstar_full, pts[k])
 
 
 def test_public_exports():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from suslovkit.core import divergence_analytic, energy, matrices, validate, vector_field
+from suslovkit.core import energy, matrices, validate, vector_field
 from suslovkit.equilibria import (
     Classification,
     _coefficient_tolerance,
@@ -14,7 +14,7 @@ from suslovkit.equilibria import (
     stability_coefficients_closed_form,
 )
 
-from conftest import draw_params
+from conftest import divergence_closed_form, draw_params
 
 
 def cross_product_linearization(p, i, v):
@@ -127,7 +127,7 @@ class TestStabilityCoefficients:
             detKa = matrices(p).detKa
             for i, v in enumerate(equilibrium_directions(p), start=1):
                 alpha, beta = stability_coefficients(p, i)
-                expected = -detKa * float(divergence_analytic(p, v))
+                expected = -detKa * float(divergence_closed_form(p, v))
                 assert abs(alpha - expected) <= 1e-12 * max(abs(beta), 1.0)
 
     def test_sign_pattern(self, rng):

@@ -13,7 +13,6 @@ from suslovkit.fields import (
     example1d,
     example2d,
     example2d_density,
-    fd_divergence,
     fd_gradient,
     fd_jacobian,
     fd_step,
@@ -112,7 +111,6 @@ def test_divergence_prefers_analytic_route():
     x = np.array([0.7, -1.3])
     # linear field: both routes give the exact trace
     assert divergence(f, x) == pytest.approx(1.0, abs=1e-12)
-    assert fd_divergence(f, x) == pytest.approx(1.0, abs=1e-9)
     bare = VectorFieldSpec(dim=2, eval=f.eval)
     assert divergence(bare, x) == pytest.approx(1.0, abs=1e-9)
 

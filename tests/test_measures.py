@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from suslovkit.core import validate, vector_field
-from suslovkit.fields import DensitySpec, fd_gradient
+from suslovkit.fields import DensitySpec, divergence, fd_gradient
 from suslovkit.measures import (
     ClassADensityParams,
     classA_measure_exists,
-    density_M,
     density_params,
     density_spec,
     divergence_witness,
@@ -23,7 +22,7 @@ from suslovkit.measures import (
     sample_off_plane,
 )
 
-from conftest import draw_classA_params, draw_params
+from conftest import divergence_closed_form, draw_classA_params, draw_params
 
 
 class TestPredicates:
@@ -83,18 +82,19 @@ class TestDensityM:
         dp = density_params(pstar)
         on_plus = np.array([dp.xi_plus * 2.0, 0.7, 2.0])
         on_minus = np.array([dp.xi_minus * -1.5, 0.1, -1.5])
-        assert density_M(pstar, dp, on_plus) == 0.0
-        assert density_M(pstar, dp, on_minus) == 0.0
+        M = density_spec(pstar, dp).eval
+        assert M(on_plus) == 0.0
+        assert M(on_minus) == 0.0
 
     def test_unit_value_off_axis(self, pstar):
         dp = density_params(pstar)
-        assert density_M(pstar, dp, np.array([1.0, 0.0, 0.0])) == \
+        assert density_spec(pstar, dp).eval(np.array([1.0, 0.0, 0.0])) == \
             pytest.approx(1.0, rel=1e-14)
 
     def test_nonnegative_everywhere(self, pstar, rng):
         dp = density_params(pstar)
         pts = rng.normal(size=(200, 3))
-        assert np.all(density_M(pstar, dp, pts) >= 0.0)
+        assert np.all(density_spec(pstar, dp).eval(pts) >= 0.0)
 
 
 class TestFirstIntegralF:
@@ -225,6 +225,9 @@ class TestExclusionRadius:
 
 class TestDivergenceWitness:
     def test_euler_supremum_zero(self, euler):
+        # the covector c_k = div X(e_k) read off the Jacobian is exactly zero
+        c = divergence(vector_field(euler), np.eye(3))
+        assert np.array_equal(c, np.zeros(3))
         w = divergence_witness(euler, n_points=500, seed=1)
         assert w["supremum_unit_ball"] == 0.0
         assert w["max_divergence"] == 0.0
@@ -238,12 +241,11 @@ class TestDivergenceWitness:
 
     def test_supremum_matches_dense_sphere_max(self, pstar_full, rng):
         # independent route: |div| is linear in Omega, so its max over the
-        # unit sphere approaches the closed-form coefficient norm
-        from suslovkit.core import divergence_analytic
+        # unit sphere approaches the coefficient norm
         w = divergence_witness(pstar_full, n_points=10, seed=0)
         g = rng.normal(size=(20000, 3))
         sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
-        dense_max = np.max(np.abs(divergence_analytic(pstar_full, sphere)))
+        dense_max = np.max(np.abs(divergence_closed_form(pstar_full, sphere)))
         assert dense_max <= w["supremum_unit_ball"] * (1.0 + 1e-12)
         assert dense_max >= w["supremum_unit_ball"] * 0.99
 
@@ -259,5 +261,5 @@ def test_density_spec_powers_zero_set(pstar):
     spec = density_spec(pstar, dp, extra_power=1)
     assert "invariant planes" in spec.zero_set_description
     x = np.array([0.9, -0.2, 0.4])
-    expected = density_M(pstar, dp, x) * abs(first_integral_F(pstar, dp, x))
+    expected = density_spec(pstar, dp).eval(x) * abs(first_integral_F(pstar, dp, x))
     assert spec.eval(x) == pytest.approx(expected, rel=1e-12)
