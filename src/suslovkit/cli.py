@@ -27,6 +27,8 @@ from .flow import (
     simulate,
 )
 from .measures import (
+    _check_sample_count,
+    _check_tol,
     classA_measure_exists,
     density_params,
     density_spec,
@@ -222,6 +224,9 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # every target echoes both options, and the a2 != 0 witness reads neither
+    _check_tol(args.tol)
+    _check_sample_count(args.samples)
     if args.target == "example2d":
         report = fixture2d_residual_sweep(
             n_points=args.samples, seed=args.seed, tol=args.tol

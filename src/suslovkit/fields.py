@@ -55,17 +55,21 @@ def fd_jacobian(f: Callable[[Array], Array], x: Array, h: Array | None = None) -
     """Central-difference Jacobian of a vectorized map at points x.
 
     Returns shape (..., dim_out, dim) with entry [..., i, j] = df_i/dx_j.
+    Each column shifts only coordinate j of a copy of x, to x_j +- h_j.
     """
     x = np.asarray(x, dtype=float)
     if h is None:
         h = fd_step(x)
-    dim = x.shape[-1]
+
+    def shifted(j: int, step: Array) -> Array:
+        y = x.copy()
+        y[..., j] += step
+        return y
+
     cols = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        hj = h[..., j:j + 1]
-        cols.append((f(x + hj * e) - f(x - hj * e)) / (2.0 * h[..., j:j + 1]))
+    for j in range(x.shape[-1]):
+        hj = h[..., j]
+        cols.append((f(shifted(j, hj)) - f(shifted(j, -hj))) / (2.0 * h[..., j:j + 1]))
     return np.stack(cols, axis=-1)
 
 

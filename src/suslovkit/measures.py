@@ -11,6 +11,7 @@ integer making both exponents >= 1, so M is C1 and vanishes only on pi+-.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,9 +31,16 @@ from .fields import (
     fd_gradient,
 )
 
-#: rounds of a rejection sampler (each draws four times the quota) before it
+#: draws a rejection sampler makes, as a multiple of its quota, before it
 #: gives up; an exclusion radius near 1 rejects every point in the annulus
-_MAX_REJECTION_ROUNDS = 100
+_MAX_REJECTION_DRAWS = 400
+
+#: largest rejection round, as a multiple of the quota; bounds peak memory
+_MAX_ROUND = 4
+
+#: margin on the expected acceptance, and extra rows, in a rejection round
+#: after the first, so one more round almost always fills the quota
+_ROUND_MARGIN, _ROUND_FLOOR = 1.1, 64
 
 #: factor on the finite-difference truncation estimate behind the exclusion
 #: radius around the invariant planes
@@ -171,7 +179,12 @@ def _residual_and_scale(
     x = np.asarray(x, dtype=float)
     grad_M, X, M = fd_gradient(density.eval, x), field.eval(x), density.eval(x)
     J = _jacobian(field, x)
-    res = np.sum(grad_M * X, axis=-1) + M * _trace(J)
+    # <grad M, X> by column adds: the bits of np.sum(grad_M * X, axis=-1)
+    # without its reduction overhead or its (..., dim) product
+    res = grad_M[..., 0] * X[..., 0]
+    for k in range(1, x.shape[-1]):
+        res = res + grad_M[..., k] * X[..., k]
+    res = res + M * _trace(J)
     scale = (
         np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
         + np.abs(M) * np.linalg.norm(J, axis=(-2, -1))
@@ -195,11 +208,22 @@ def residual_scale(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Ar
     return _residual_and_scale(field, density, x)[1]
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
+def _check_sample_count(count: int) -> None:
+    """Raise ValueError unless count is at least 1."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+
+
 def _fd_exclusion(exponents: tuple[float, float], tol: float) -> float:
     """Exclusion radius for a density with these two factor exponents, at a
     finite positive tolerance tol."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_tol(tol)
     C = max(abs((q - 1.0) * (q - 2.0)) for q in (*exponents, sum(exponents)))
     return FD_STEP_UNIT * float(np.sqrt(C * _EXCLUSION_SAFETY / (6.0 * tol)))
 
@@ -222,22 +246,35 @@ def _rejection_sample(
     keep: Callable[[Array], Array], excl: float,
 ) -> Array:
     """The first count uniform draws from the cube [-bound, bound]^dim that
-    pass keep; raises ValueError unless count >= 1, or after
-    _MAX_REJECTION_ROUNDS rounds."""
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+    pass keep; raises ValueError unless count >= 1, or when
+    _MAX_REJECTION_DRAWS * count draws hold fewer than count such points.
+
+    keep maps an (m, dim) array to an (m,) mask, row by row. The first round
+    draws count rows; each later one sizes itself from the acceptance seen
+    so far, capped at _MAX_ROUND * count rows. Philox draws do not depend on
+    how they are chunked, so the rounds change cost, not the result.
+    """
+    _check_sample_count(count)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    budget = _MAX_REJECTION_DRAWS * count
     out: list[Array] = []
-    have = 0
+    have = drawn = 0
+    size = count
     while have < count:
-        if len(out) == _MAX_REJECTION_ROUNDS:
+        if drawn == budget:
             raise ValueError(
                 f"only {have} of {count} sample points clear the exclusion radius "
-                f"{excl:.3g} after {_MAX_REJECTION_ROUNDS} rounds"
+                f"{excl:.3g} after {drawn} draws"
             )
-        x = rng.uniform(-bound, bound, size=(4 * count, dim))
+        size = min(size, _MAX_ROUND * count, budget - drawn)
+        x = rng.uniform(-bound, bound, size=(size, dim))
+        drawn += size
         out.append(x[keep(x)])
         have += len(out[-1])
+        if have:
+            size = math.ceil(_ROUND_MARGIN * (count - have) * drawn / have) + _ROUND_FLOOR
+        else:
+            size = _MAX_ROUND * count
     return np.concatenate(out)[:count]
 
 

@@ -263,16 +263,21 @@ class TestVerify:
         assert main(["verify", "suslov", "--params", str(f)]) == 2
         assert "exclusion radius 26.7" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["suslov", "example2d"])
+    # the a2 != 0 set takes the witness path, which reads neither option
+    @pytest.mark.parametrize("target, a2", [
+        pytest.param("suslov", 0.0, id="suslov"),
+        pytest.param("example2d", 0.0, id="example2d"),
+        pytest.param("suslov", 1.0, id="suslov-a2=1"),
+    ])
     @pytest.mark.parametrize("option, named", [
         ("--tol=0", "tol"),
         ("--tol=nan", "tol"),
         ("--tol=-1e-6", "tol"),
         ("--samples=0", "sample count"),
     ])
-    def test_bad_tol_or_samples_is_an_error(self, params_file, capsys, target,
+    def test_bad_tol_or_samples_is_an_error(self, params_file, capsys, target, a2,
                                             option, named):
-        rc = main(["verify", target, "--params", params_file("p", 1.0, 0.0), option])
+        rc = main(["verify", target, "--params", params_file("p", 1.0, a2), option])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from suslovkit.core import vector_field
 from suslovkit.fields import (
     FD_STEP_UNIT,
     DensitySpec,
@@ -17,6 +18,7 @@ from suslovkit.fields import (
     fd_jacobian,
     fd_step,
 )
+from suslovkit.measures import density_params, density_spec
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -89,6 +91,39 @@ def test_analytic_jacobian_matches_fd(make_field):
     J_fd = fd_jacobian(f.eval, pts)
     scale = np.maximum(np.abs(J_an), 1.0)
     assert np.max(np.abs(J_an - J_fd) / scale) <= 1e-6
+
+
+def _fd_jacobian_by_unit_vectors(f, x):
+    """The central-difference Jacobian with shifts formed as x +- h_j e_j over
+    every coordinate: the reference the one-column shift must match."""
+    x = np.asarray(x, dtype=float)
+    h = fd_step(x)
+    dim = x.shape[-1]
+    cols = []
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1.0
+        hj = h[..., j:j + 1]
+        cols.append((f(x + hj * e) - f(x - hj * e)) / (2.0 * h[..., j:j + 1]))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(), (50,), (4, 6)])
+@pytest.mark.parametrize("target", ["example2d", "suslov_field", "classA_density"])
+def test_fd_jacobian_bit_equal_to_unit_vector_shifts(target, shape, pstar, pstar_full):
+    if target == "example2d":
+        f, dim = example2d().eval, 2
+    elif target == "suslov_field":
+        f, dim = vector_field(pstar_full).eval, 3
+    else:
+        M = density_spec(pstar, density_params(pstar)).eval
+        f, dim = (lambda y: M(y)[..., None]), 3
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=shape + (dim,))
+    # x + 0.0 turns -0.0 into +0.0 where a lone column shift keeps it
+    assert not np.any((x == 0.0) & np.signbit(x))
+    J, J_ref = fd_jacobian(f, x), _fd_jacobian_by_unit_vectors(f, x)
+    assert J.shape == J_ref.shape
+    assert J.tobytes() == J_ref.tobytes()
 
 
 def test_fd_gradient_on_polynomial():

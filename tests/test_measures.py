@@ -7,6 +7,7 @@ from suslovkit.core import validate, vector_field
 from suslovkit.fields import DensitySpec, divergence, fd_gradient
 from suslovkit.measures import (
     ClassADensityParams,
+    _rejection_sample,
     classA_measure_exists,
     density_params,
     density_spec,
@@ -221,6 +222,69 @@ class TestExclusionRadius:
         dp = density_params(pstar)
         with pytest.raises(ValueError, match="norm_range"):
             sample_off_plane(pstar, dp, 10, seed=0, norm_range=norm_range)
+
+
+class TestRejectionSample:
+    """The sampler returns the first count rows of one Philox stream that
+    pass keep, however it splits the stream into rounds."""
+
+    BOUND, DIM = 2.0, 3
+
+    def _oracle(self, seed, count, keep, draws):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        x = rng.uniform(-self.BOUND, self.BOUND, size=(draws, self.DIM))
+        kept = x[keep(x)]
+        assert len(kept) >= count
+        return kept[:count]
+
+    @staticmethod
+    def _recording(keep):
+        rounds = []
+
+        def wrapped(x):
+            rounds.append(len(x))
+            return keep(x)
+
+        return wrapped, rounds
+
+    @pytest.mark.parametrize("keep, min_rounds", [
+        pytest.param(lambda x: np.ones(len(x), dtype=bool), 1, id="all"),
+        pytest.param(lambda x: x[:, 0] > 0.0, 2, id="half"),
+        pytest.param(lambda x: x[:, 0] > 1.8, 3, id="five_percent"),
+    ])
+    @pytest.mark.parametrize("count", [1, 37, 2000])
+    def test_first_count_rows_of_one_stream(self, keep, min_rounds, count):
+        recording, rounds = self._recording(keep)
+        pts = _rejection_sample(11, count, self.BOUND, self.DIM, recording, 0.5)
+        expect = self._oracle(11, count, keep, sum(rounds))
+        assert pts.shape == (count, self.DIM)
+        assert pts.tobytes() == expect.tobytes()
+        assert max(rounds) <= 4 * count
+        if count >= 37:
+            assert len(rounds) >= min_rounds
+
+    def test_gives_up_after_budget(self):
+        count = 7
+        recording, rounds = self._recording(lambda x: np.zeros(len(x), dtype=bool))
+        with pytest.raises(ValueError, match="only 0 of 7 sample points clear "
+                                             "the exclusion radius 0.5"):
+            _rejection_sample(3, count, self.BOUND, self.DIM, recording, 0.5)
+        assert sum(rounds) == 400 * count
+        assert max(rounds) <= 4 * count
+
+    def test_scarce_keep_counted_against_budget(self):
+        # about 1 row in 800 passes, so 400 draws per point hold about half
+        # the quota; the error counts exactly what the budget's draws kept
+        count = 50
+        keep = lambda x: x[:, 0] > 1.995
+        recording, rounds = self._recording(keep)
+        with pytest.raises(ValueError) as err:
+            _rejection_sample(5, count, self.BOUND, self.DIM, recording, 0.5)
+        assert sum(rounds) == 400 * count
+        rng = np.random.Generator(np.random.Philox(key=5))
+        have = int(np.sum(keep(rng.uniform(-self.BOUND, self.BOUND,
+                                           size=(400 * count, self.DIM)))))
+        assert str(err.value).startswith(f"only {have} of {count} sample points")
 
 
 class TestDivergenceWitness:
