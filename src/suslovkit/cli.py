@@ -51,11 +51,6 @@ _OPTION_HELP = {
 }
 
 
-def _fmt(x: float) -> str:
-    """Full-precision decimal so CSV values round-trip exactly."""
-    return repr(float(x))
-
-
 def _report_header(command: str, config: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -65,22 +60,26 @@ def _report_header(command: str, config: dict) -> dict:
     }
 
 
-def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
+def _write_json(doc: dict, out: str | Path | None) -> None:
+    _emit(json.dumps(doc, indent=2) + "\n", out)
+
+
 def _write_csv(
-    path: Path, comment_fields: dict, columns: list[str], rows: np.ndarray
+    out: str | Path | None, comment_fields: dict, columns: list[str], rows: np.ndarray
 ) -> None:
-    lines = [f"# {k} = {v}" for k, v in comment_fields.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Header and rows, each value as its full-precision repr so it round-trips
+    exactly; a file also starts with one `# key = value` line per comment field."""
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows.tolist()]
+    if out:
+        lines = [f"# {k} = {v}" for k, v in comment_fields.items()] + lines
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
@@ -96,13 +95,29 @@ def _require_params(args: argparse.Namespace) -> SuslovParams:
     return load_params(args.params)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    params = _require_params(args)
-    reports = [classify(params, i) for i in (1, 2, 3)]
-    predicates = {
+def _predicates(params: SuslovParams) -> dict:
+    return {
         "positive_c1_measure_exists": positive_c1_measure_exists(params),
         "classA_measure_exists": classA_measure_exists(params),
     }
+
+
+def _orbit_table(
+    params: SuslovParams, times: np.ndarray, states: np.ndarray
+) -> tuple[list[str], list[np.ndarray]]:
+    """Columns t, omega1..3 and E of an orbit, and F when a2 = 0."""
+    cols = ["t", "omega1", "omega2", "omega3", "E"]
+    data = [times, *states.T, energy(params, states)]
+    if classA_measure_exists(params):
+        cols.append("F")
+        data.append(first_integral_F(params, density_params(params), states))
+    return cols, data
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    params = _require_params(args)
+    reports = [classify(params, i) for i in (1, 2, 3)]
+    predicates = _predicates(params)
     print(f"{'i':>2} {'lambda':>10} {'direction':>28} {'alpha':>14} {'beta':>14}  classification")
     for r in reports:
         d = "({:.6g}, {:.6g}, {:.6g})".format(*r.direction)
@@ -132,12 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         params, omega0, args.T, tol=args.tol,
         record_times=record, project_energy=args.project_energy,
     )
-    cols = ["t", "omega1", "omega2", "omega3", "E"]
-    data = [traj.times, *traj.states.T, energy(params, traj.states)]
-    if classA_measure_exists(params):
-        dp = density_params(params)
-        cols.append("F")
-        data.append(first_integral_F(params, dp, traj.states))
+    cols, data = _orbit_table(params, traj.times, traj.states)
     if args.reconstruct:
         att = reconstruct(params, traj)
         cols += ["qw", "qx", "qy", "qz", "theta", "theta_dot", "constraint_residual"]
@@ -158,17 +168,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = _report_header("simulate", config)
         doc["columns"] = cols
-        doc["rows"] = [[float(x) for x in row] for row in table]
+        doc["rows"] = table.tolist()
         _write_json(doc, args.out)
     else:
         flat = {k: v for k, v in config.items() if not isinstance(v, dict)}
         flat.update({f"params.{k}": v for k, v in config["params"].items()})
-        if args.out:
-            _write_csv(Path(args.out), flat, cols, table)
-        else:
-            sys.stdout.write(",".join(cols) + "\n")
-            for row in table:
-                sys.stdout.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_csv(args.out, flat, cols, table)
     return 0
 
 
@@ -176,12 +181,14 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     params = _require_params(args)
     if not args.out:
         raise ValueError("--out directory is required for portrait output")
+    # the bundle runs from -T to T; a negative horizon would run it backwards
+    if not (np.isfinite(args.T) and args.T > 0.0):
+        raise ValueError(f"--T must be finite and positive, got {args.T}")
+    _check_tol(args.tol)
+    ics = sample_ellipsoid(params, args.eta, args.samples, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ics = sample_ellipsoid(params, args.eta, args.samples, args.seed)
     grid = np.linspace(0.0, args.T, 201)[1:]
-    classA = classA_measure_exists(params)
-    dp = density_params(params) if classA else None
     files = []
     failures = []
     for k, omega0 in enumerate(ics):
@@ -196,11 +203,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
             continue
         times = np.concatenate([bwd.times[:-1], fwd.times])
         states = np.concatenate([bwd.states[:-1], fwd.states], axis=0)
-        cols = ["t", "omega1", "omega2", "omega3", "E"]
-        data = [times, *states.T, energy(params, states)]
-        if classA:
-            cols.append("F")
-            data.append(first_integral_F(params, dp, states))
+        cols, data = _orbit_table(params, times, states)
         _write_csv(
             outdir / name,
             {
@@ -227,41 +230,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # every target echoes both options, and the a2 != 0 witness reads neither
     _check_tol(args.tol)
     _check_sample_count(args.samples)
-    if args.target == "example2d":
-        report = fixture2d_residual_sweep(
-            n_points=args.samples, seed=args.seed, tol=args.tol
-        )
-        doc = _report_header("verify", {
-            "target": "example2d", "samples": args.samples,
-            "seed": args.seed, "tol": args.tol,
-        })
-        doc["residual_check"] = report
-        doc["pass"] = report["pass"]
-        _write_json(doc, args.out)
-        return 0 if doc["pass"] else 1
-
-    params = _require_params(args)
-    config = {
-        "target": "suslov", "params": params.to_dict(),
-        "samples": args.samples, "seed": args.seed, "tol": args.tol,
-    }
+    config = {"target": args.target}
+    if args.target == "suslov":
+        params = _require_params(args)
+        config["params"] = params.to_dict()
+    config.update(samples=args.samples, seed=args.seed, tol=args.tol)
     doc = _report_header("verify", config)
-    doc["predicates"] = {
-        "positive_c1_measure_exists": positive_c1_measure_exists(params),
-        "classA_measure_exists": classA_measure_exists(params),
-    }
-    if classA_measure_exists(params):
-        res = residual_sweep(params, n_points=args.samples, seed=args.seed, tol=args.tol)
-        planes = plane_defect_sweep(params, n_points=1000, seed=args.seed)
-        doc["residual_check"] = res
-        doc["plane_invariance_check"] = planes
-        doc["pass"] = bool(res["pass"] and planes["pass"])
+    if args.target == "example2d":
+        checks = {"residual_check": fixture2d_residual_sweep(
+            n_points=args.samples, seed=args.seed, tol=args.tol)}
     else:
-        wit = divergence_witness(params, seed=args.seed)
-        doc["divergence_witness"] = wit
-        # the declared check: a genuinely nonzero divergence must be observed
-        doc["pass"] = bool(wit["max_divergence"] >= 0.5 * wit["supremum_unit_ball"]
-                           and wit["supremum_unit_ball"] > 0.0)
+        doc["predicates"] = _predicates(params)
+        if classA_measure_exists(params):
+            checks = {
+                "residual_check": residual_sweep(
+                    params, n_points=args.samples, seed=args.seed, tol=args.tol),
+                "plane_invariance_check": plane_defect_sweep(
+                    params, n_points=1000, seed=args.seed),
+            }
+        else:
+            checks = {"divergence_witness": divergence_witness(params, seed=args.seed)}
+    doc.update(checks)
+    doc["pass"] = all(check["pass"] for check in checks.values())
     _write_json(doc, args.out)
     return 0 if doc["pass"] else 1
 
@@ -275,18 +265,21 @@ def _uniform_density() -> DensitySpec:
 
 
 def cmd_transport(args: argparse.Namespace) -> int:
+    density = args.density
     if args.target == "example2d":
+        # the fixture transports its own density, |x1|^5 x2^2
+        if density is not None:
+            raise ValueError("--density applies only to the suslov target")
         field = example2d()
         dens = example2d_density()
         box = np.array([[1.0, 2.0], [1.0, 2.0]])
-        label = "example2d"
         params_doc = None
     else:
         params = _require_params(args)
         field = vector_field(params)
-        label = "suslov"
         params_doc = params.to_dict()
-        if args.density == "uniform":
+        density = density or "classA"
+        if density == "uniform":
             dens = _uniform_density()
         else:
             dens = density_spec(params, density_params(params))
@@ -298,8 +291,7 @@ def cmd_transport(args: argparse.Namespace) -> int:
         field, dens, box, args.T, args.samples, args.seed
     )
     doc = _report_header("transport", {
-        "target": label, "params": params_doc,
-        "density": getattr(args, "density", None),
+        "target": args.target, "params": params_doc, "density": density,
         "t": args.T, "samples": args.samples, "seed": args.seed,
         "box": [[float(a), float(b)] for a, b in box],
     })
@@ -353,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", nargs="?", default="suslov", choices=("suslov", "example2d"))
     options(sp, T=5.0, samples=100000, seed=0)
     sp.add_argument("--box", help="box bounds lo1,hi1,lo2,hi2[,lo3,hi3]")
-    sp.add_argument("--density", choices=("classA", "uniform"), default="classA")
+    sp.add_argument("--density", choices=("classA", "uniform"),
+                    help="density to transport (suslov target only; default classA)")
     sp.set_defaults(func=cmd_transport)
     return parser
 

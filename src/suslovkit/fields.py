@@ -51,15 +51,15 @@ def fd_step(x: Array) -> Array:
     return FD_STEP_UNIT * np.maximum(1.0, np.abs(x))
 
 
-def fd_jacobian(f: Callable[[Array], Array], x: Array, h: Array | None = None) -> Array:
+def fd_jacobian(f: Callable[[Array], Array], x: Array) -> Array:
     """Central-difference Jacobian of a vectorized map at points x.
 
     Returns shape (..., dim_out, dim) with entry [..., i, j] = df_i/dx_j.
-    Each column shifts only coordinate j of a copy of x, to x_j +- h_j.
+    Each column shifts only coordinate j of a copy of x, to x_j +- h_j with
+    h = fd_step(x).
     """
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = fd_step(x)
+    h = fd_step(x)
 
     def shifted(j: int, step: Array) -> Array:
         y = x.copy()
@@ -73,9 +73,9 @@ def fd_jacobian(f: Callable[[Array], Array], x: Array, h: Array | None = None) -
     return np.stack(cols, axis=-1)
 
 
-def fd_gradient(f: Callable[[Array], Array], x: Array, h: Array | None = None) -> Array:
+def fd_gradient(f: Callable[[Array], Array], x: Array) -> Array:
     """Central-difference gradient of a scalar-valued vectorized map."""
-    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x, h)[..., 0, :]
+    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x)[..., 0, :]
 
 
 def _trace(J: Array) -> Array:

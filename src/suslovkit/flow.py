@@ -133,8 +133,15 @@ def _dop853_steps(
     n_accepted, n_rejected, nfev (every rhs call) and the smallest and
     largest accepted |step|, h_min and h_max. A step below 10 spacings of t
     or more than _MAX_STEPS attempts raise IntegrationError labelled with
-    what, carrying the last accepted time.
+    what, carrying the last accepted time. A t1 that is not finite, or a tol
+    or atol that is not finite and positive, raises ValueError before any
+    step.
     """
+    if not np.isfinite(t1):
+        raise ValueError(f"{what}: end time must be finite, got {t1}")
+    for name, value in (("tol", tol), ("atol", atol)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{what}: {name} must be finite and positive, got {value}")
     direction = 1.0 if t1 > t0 else -1.0
     stops = [s for s in stops if direction * (t1 - s) > 0.0] + [t1]
     n_stages = _dop853.N_STAGES

@@ -200,6 +200,31 @@ class TestSimulate:
             "params.a1", "params.a2", "params.a3",
         ]
 
+    def test_stdout_is_the_csv_without_comments(self, params_file, tmp_path, capsys):
+        argv = ["simulate", "--params", params_file("p", 1.0, 0.0),
+                "--omega0", "0.3,-0.4,0.5", "--T", "5", "--samples", "11"]
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        rows = [l for l in out.read_text().splitlines(keepends=True)
+                if not l.startswith("#")]
+        assert capsys.readouterr().out == "".join(rows)
+
+    @pytest.mark.parametrize("option, named", [
+        ("--T=nan", "end time must be finite"),
+        ("--tol=-1", "tol must be finite and positive"),
+    ])
+    def test_unusable_horizon_or_tol_is_an_error(self, params_file, tmp_path, capsys,
+                                                 option, named):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--params", params_file("p", 1.0, 0.0),
+                     "--omega0", "1,1,1", option, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestPortrait:
     def test_byte_stable_reruns(self, params_file, tmp_path):
@@ -226,6 +251,25 @@ class TestPortrait:
         assert t[0] == pytest.approx(-4.0) and t[-1] == pytest.approx(4.0)
         assert np.all(np.diff(t) > 0)
 
+    # the bundle runs from -T to T, so T must be finite and positive
+    @pytest.mark.parametrize("option, named", [
+        ("--T=-2", "--T must be finite and positive"),
+        ("--T=0", "--T must be finite and positive"),
+        ("--T=nan", "--T must be finite and positive"),
+        ("--T=inf", "--T must be finite and positive"),
+        ("--tol=0", "tol must be finite and positive"),
+        ("--eta=-1", "eta must be positive"),
+    ])
+    def test_bad_option_is_an_error_before_any_output(self, params_file, tmp_path,
+                                                      capsys, option, named):
+        d = tmp_path / "port"
+        assert main(["portrait", "--params", params_file("p", 1.0, 0.0),
+                     option, "--samples", "2", "--out", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert len(err.splitlines()) == 1
+        assert not d.exists()
+
 
 class TestVerify:
     def test_classA_pass(self, params_file, tmp_path):
@@ -246,6 +290,8 @@ class TestVerify:
         doc = _load_report(out)
         assert doc["predicates"]["classA_measure_exists"] is False
         assert doc["divergence_witness"]["max_divergence"] > 0
+        # the report's verdict is the witness's own
+        assert doc["pass"] is doc["divergence_witness"]["pass"] is True
 
     def test_fixture_target(self, tmp_path):
         out = str(tmp_path / "v.json")
@@ -334,6 +380,39 @@ class TestTransport:
         assert main(["transport", "suslov", "--params", str(f), "--T", "1",
                      "--samples", "200", "--out", str(out)]) == 2
         assert "density M at the box samples is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T", ["nan", "inf", "-inf"])
+    def test_non_finite_horizon_is_an_error(self, params_file, tmp_path, capsys, T):
+        out = tmp_path / "t.json"
+        assert main(["transport", "--params", params_file("p", 1.0, 0.0),
+                     f"--T={T}", "--samples", "2000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "end time must be finite" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_density_echo(self, params_file, tmp_path):
+        # example2d transports its own |x1|^5 x2^2, so it names no density;
+        # suslov names the one it resolved
+        for argv, density in [
+            (["example2d"], None),
+            (["suslov", "--params", params_file("p", 1.0, 0.0)], "classA"),
+            (["suslov", "--params", params_file("p", 1.0, 0.0),
+              "--density", "uniform"], "uniform"),
+        ]:
+            out = tmp_path / "t.json"
+            main(["transport", *argv, "--T", "0.5", "--samples", "200",
+                  "--out", str(out)])
+            assert _load_report(out)["config"]["density"] == density
+
+    @pytest.mark.parametrize("density", ["classA", "uniform"])
+    def test_fixture_rejects_density(self, tmp_path, capsys, density):
+        out = tmp_path / "t.json"
+        assert main(["transport", "example2d", "--density", density,
+                     "--samples", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--density" in err
         assert not out.exists()
 
     def test_custom_box(self, params_file, tmp_path):

@@ -388,6 +388,37 @@ class TestBatchIntegrator:
         assert exc.value.t_last == 0.0
 
 
+_X0_2D = np.array([1.0, 1.5])
+_BOX_2D = np.array([[1.0, 2.0], [1.0, 2.0]])
+_RUNS = {
+    "integrate": lambda T, **kw: integrate(example2d(), _X0_2D, T, **kw),
+    "integrate_batch": lambda T, **kw: integrate_batch(example2d(), _X0_2D[None], T, **kw),
+    "flow_map_with_jacobian": lambda T: flow_map_with_jacobian(example2d(), _X0_2D, T),
+    "measure_transport_check": lambda T: measure_transport_check(
+        example2d(), example2d_density(), _BOX_2D, T, 100, seed=1),
+}
+
+
+class TestArgumentChecks:
+    """Every integrator shares one stepping loop, which refuses a horizon or
+    tolerance it cannot honour before taking a step."""
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("run", list(_RUNS))
+    def test_non_finite_horizon_rejected(self, run, T):
+        with pytest.raises(ValueError, match="end time must be finite"):
+            _RUNS[run](T)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tol", -1.0), ("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
+        ("atol", -1e-12), ("atol", 0.0), ("atol", np.nan),
+    ])
+    @pytest.mark.parametrize("run", ["integrate", "integrate_batch"])
+    def test_bad_tolerance_rejected(self, run, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            _RUNS[run](1.0, **{name: value})
+
+
 def test_scipy_dop853_tableau_guard():
     # _dop853_steps and _dop853_interpolant read scipy's private tableau; a
     # scipy release that moves or changes it fails here, by name

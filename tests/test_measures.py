@@ -296,12 +296,14 @@ class TestDivergenceWitness:
         assert w["supremum_unit_ball"] == 0.0
         assert w["max_divergence"] == 0.0
         assert w["divergence_free"]
+        assert w["pass"] is False  # nothing nonzero to witness
 
     def test_a2_nonzero_has_positive_witness(self, pstar_full):
         w = divergence_witness(pstar_full, n_points=2000, seed=1)
         assert w["supremum_unit_ball"] > 0.0
         assert w["max_divergence"] >= 0.5 * w["supremum_unit_ball"]
         assert not w["divergence_free"]
+        assert w["pass"] is True
 
     def test_supremum_matches_dense_sphere_max(self, pstar_full, rng):
         # independent route: |div| is linear in Omega, so its max over the
