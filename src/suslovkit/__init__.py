@@ -64,7 +64,6 @@ from .measures import (
     first_integral_F,
     pde_residual,
     plane_defect_sweep,
-    plane_invariance_defect,
     positive_c1_measure_exists,
     residual_sweep,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "multiplier_zeta",
     "pde_residual",
     "plane_defect_sweep",
-    "plane_invariance_defect",
     "positive_c1_measure_exists",
     "reconstruct",
     "residual_sweep",

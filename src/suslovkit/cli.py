@@ -185,6 +185,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     if not (np.isfinite(args.T) and args.T > 0.0):
         raise ValueError(f"--T must be finite and positive, got {args.T}")
     _check_tol(args.tol)
+    _check_sample_count(args.samples)
     ics = sample_ellipsoid(params, args.eta, args.samples, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

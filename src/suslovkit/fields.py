@@ -46,6 +46,14 @@ class DensitySpec:
             )
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """The counter-based Philox generator keyed by seed; raises ValueError
+    unless 0 <= seed < 2**128."""
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**128, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def fd_step(x: Array) -> Array:
     """Per-coordinate central-difference step h = cbrt(eps) * max(1, |x_i|)."""
     return FD_STEP_UNIT * np.maximum(1.0, np.abs(x))

@@ -5,6 +5,7 @@ measure transport checks.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -15,7 +16,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .core import SuslovParams, energy, matrices, vector_field
 from .equilibria import equilibrium_directions, scale_to_ellipsoid
-from .fields import Array, DensitySpec, VectorFieldSpec, divergence
+from .fields import Array, DensitySpec, VectorFieldSpec, divergence, seeded_generator
 
 
 class IntegrationError(RuntimeError):
@@ -32,6 +33,8 @@ class IntegrationError(RuntimeError):
 #: the exponent -1/8 of its order-7 error estimator
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
+#: the smallest positive double, below every error norm's nonzero denominator
+_SMALLEST = np.finfo(float).smallest_subnormal
 #: DOP853's stages 1 to 11 as (row of A, node c); stage 12 is at the step's end
 _STAGES = [(_dop853.A[s, :s], _dop853.C[s]) for s in range(1, _dop853.N_STAGES)]
 #: accepted-or-rejected step budget of _dop853_steps before it gives up
@@ -87,27 +90,19 @@ def _initial_step(rhs, t0, y0, f0, t1, tol, atol) -> float:
     return min(float(np.min(100 * h0)), h1, interval)
 
 
-def _error_norm(K: Array, h: float, scale: Array) -> float:
-    """scipy's DOP853 error norm of one state, from its 5th- and 3rd-order
-    error estimates. A batch (d, n) gives the norm of its worst column,
-    picked by a vectorized estimate and then computed as for one state."""
-    E5, E3 = _dop853.E5, _dop853.E3
-    if scale.ndim == 2:
-        flat_K = K.reshape(len(K), -1)
-        s5, s3 = (_sq_norms((E @ flat_K).reshape(scale.shape) / scale) for E in (E5, E3))
-        with np.errstate(invalid="ignore", over="ignore"):
-            worst = np.divide(s5, np.sqrt(s5 + 0.01 * s3),
-                              out=np.zeros_like(s5), where=s5 != 0.0)
-        k = np.argmax(worst)  # a NaN column is the worst
-        K, scale = K[..., k], scale[:, k]
-    err5, err3 = E5 @ K / scale, E3 @ K / scale
+def _error_norm(K2: Array, h: float, scale: Array) -> float:
+    """scipy's DOP853 error norm, from the 5th- and 3rd-order error estimates
+    that weigh the stage rates K2 (13, size of scale), of one state (d,), or
+    the largest over the columns of a batch (d, n); a NaN column is the
+    largest."""
+    err5 = (_dop853.E5 @ K2).reshape(scale.shape) / scale
+    err3 = (_dop853.E3 @ K2).reshape(scale.shape) / scale
     # squares of the 2-norms np.linalg.norm takes, rounded as scipy rounds them
-    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    err5_norm_2 = np.sqrt(_sq_norms(err5)) ** 2
+    err3_norm_2 = np.sqrt(_sq_norms(err3)) ** 2
+    # a column whose estimates both vanish has norm 0, not 0 / 0
+    denom = np.maximum(err5_norm_2 + 0.01 * err3_norm_2, _SMALLEST)
+    return np.maximum.reduce(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)), axis=None)
 
 
 def _dop853_steps(
@@ -161,7 +156,7 @@ def _dop853_steps(
         while direction * (stops[i_stop] - t) <= 0.0:
             i_stop += 1
         stop = stops[i_stop]
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -187,7 +182,7 @@ def _dop853_steps(
             K[-1] = rhs(t + h, y_new)
             counts["nfev"] += n_stages
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _error_norm(K, h, scale)
+            error_norm = _error_norm(K2, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -662,7 +657,7 @@ def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) ->
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     L = np.linalg.cholesky(matrices(params).Ka)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     g = rng.standard_normal((count, 3))
     y = np.sqrt(2.0 * eta) * g / np.linalg.norm(g, axis=1, keepdims=True)
     return np.linalg.solve(L.T, y.T).T
@@ -683,29 +678,19 @@ class CaptureReport:
     T: float
     capture_radius: float
 
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "fractions": {k: float(v) for k, v in self.fractions.items()},
-            "none_fraction": float(self.none_fraction),
-            "assignments": [int(a) for a in self.assignments],
-            "initial_states": self.initial_states.tolist(),
-            "endpoint_distances": self.endpoint_distances.tolist(),
-            "samples": int(self.samples),
-            "T": float(self.T),
-            "capture_radius": float(self.capture_radius),
-        }
-
 
 def _candidate_distances(states: Array, points: Array, metric: str) -> Array:
-    """Distances from each state to each candidate, shape (n_candidates, N)."""
+    """Distances from each state to each candidate, shape (n_candidates, N).
+    The angle between unit vectors a and b is 2 atan2(|a - b|, |a + b|)
+    (Kahan), accurate near 0 and pi where arccos(a . b) is not."""
     if metric == "euclidean":
         return np.linalg.norm(states[None, :, :] - points[:, None, :], axis=-1)
     if metric == "angular":
-        sn = states / np.linalg.norm(states, axis=-1, keepdims=True)
-        pn = points / np.linalg.norm(points, axis=-1, keepdims=True)
-        cosang = np.clip(sn[None, :, :] * pn[:, None, :], -1.0, 1.0).sum(axis=-1)
-        return np.arccos(np.clip(cosang, -1.0, 1.0))
+        sn = (states / np.linalg.norm(states, axis=-1, keepdims=True))[None, :, :]
+        pn = (points / np.linalg.norm(points, axis=-1, keepdims=True))[:, None, :]
+        return 2.0 * np.arctan2(
+            np.linalg.norm(sn - pn, axis=-1), np.linalg.norm(sn + pn, axis=-1)
+        )
     raise ValueError("metric must be 'euclidean' or 'angular'")
 
 
@@ -735,8 +720,9 @@ def detect_attractor(
     decreasing over the last _TAIL_FRACTION of the run.  Spiraling approach
     makes checkpoint distances oscillate, so the trend is judged on the
     oscillation envelope: the peak distance over the late checkpoints must
-    not exceed the peak over the early ones.  Slow transit near a saddle
-    shows a growing envelope and fails.
+    not exceed the peak over the early ones by more than the integration
+    tolerance tol, below which a converged sample's distance is noise.  Slow
+    transit near a saddle shows a growing envelope and fails.
     """
     labels = tuple(lbl for lbl, _ in candidates)
     points = np.array([np.asarray(p, dtype=float) for _, p in candidates])
@@ -758,7 +744,7 @@ def detect_attractor(
     head_len = max(2, (tail.shape[1] + 1) // 3)
     early = np.max(tail[:, :head_len], axis=1)
     late = np.max(tail[:, -head_len:], axis=1)
-    decreasing = late <= early * (1.0 + 1e-6) + 1e-12
+    decreasing = late <= early * (1.0 + 1e-6) + tol
     captured = within & decreasing
     assignments = np.where(captured, nearest, -1)
     fractions = {
@@ -883,7 +869,7 @@ def measure_transport_check(
         raise ValueError(f"N must be at least 2 for a standard error, got {N}")
     n_t = min(N, _TRANSPORT_MAX_SAMPLES)
     vol = float(np.prod(widths))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     pts = A[:, 0] + rng.uniform(size=(N, dim)) * widths
     m_vals = np.asarray(density.eval(pts), dtype=float)
     _require_finite(m_vals, "density M at the box samples")

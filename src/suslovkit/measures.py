@@ -29,6 +29,7 @@ from .fields import (
     example2d,
     example2d_density,
     fd_gradient,
+    seeded_generator,
 )
 
 #: draws a rejection sampler makes, as a multiple of its quota, before it
@@ -97,15 +98,22 @@ def density_params(params: SuslovParams) -> ClassADensityParams:
     l1, l2, l3 = params.lam
     a1, K3 = params.a1, params.K3
     A = a1 * K3 * l3
-    R = float(np.sqrt(A * A + 4.0 * (l1 + a1 * a1 * K3) * l3 * (l1 - l2) * (l2 - l3)))
+    N = 4.0 * (l1 + a1 * a1 * K3) * l3 * (l1 - l2) * (l2 - l3)
+    R = float(np.sqrt(A * A + N))
     den = 2.0 * (l1 - l2) * (l1 + a1 * a1 * K3)
     gamma = (R - A) / (R + A)
+    xi_plus, xi_minus = (A + R) / den, (A - R) / den
+    # R - |A| cancels; N = R^2 - A^2 = (R - A)(R + A) gives it without loss
+    if A > 0.0:
+        gamma = N / (R + A) ** 2
+        xi_minus = -N / ((R + A) * den)
+    elif A < 0.0:
+        gamma = (R - A) ** 2 / N
+        xi_plus = N / ((R - A) * den)
     n = 3
     while n * gamma - 1.0 < 1.0:
         n += 2
-    return ClassADensityParams(
-        R=R, xi_plus=(A + R) / den, xi_minus=(A - R) / den, gamma=gamma, n=n
-    )
+    return ClassADensityParams(R=R, xi_plus=xi_plus, xi_minus=xi_minus, gamma=gamma, n=n)
 
 
 def _plane_factors(dp: ClassADensityParams, omega: Array) -> tuple[Array, Array]:
@@ -149,29 +157,6 @@ def density_spec(
     )
 
 
-def plane_invariance_defect(
-    params: SuslovParams, dp: ClassADensityParams, omega: Array
-) -> float:
-    """Time derivative of the plane function at an on-plane point,
-    d/dt (O1 - xi O3) = X1 - xi X3, which plane invariance forces to zero.
-
-    The point must lie on pi+ or pi-; off-plane inputs are rejected.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1:
-        raise ValueError("plane_invariance_defect takes a single point")
-    u_plus, u_minus = _plane_factors(dp, omega)
-    nrm = np.linalg.norm(omega)
-    d_plus = abs(u_plus) / (1.0 + abs(dp.xi_plus))
-    d_minus = abs(u_minus) / (1.0 + abs(dp.xi_minus))
-    tol = 1e-9 * max(1.0, nrm)
-    if d_plus > tol and d_minus > tol:
-        raise ValueError("point does not lie on either invariant plane")
-    xi = dp.xi_plus if d_plus <= d_minus else dp.xi_minus
-    X = vector_field(params).eval(omega)
-    return float(X[0] - xi * X[2])
-
-
 def _residual_and_scale(
     field: VectorFieldSpec, density: DensitySpec, x: Array
 ) -> tuple[Array, Array]:
@@ -185,9 +170,10 @@ def _residual_and_scale(
     for k in range(1, x.shape[-1]):
         res = res + grad_M[..., k] * X[..., k]
     res = res + M * _trace(J)
+    # |J|_F by einsum, without the (..., dim, dim) square np.linalg.norm forms
     scale = (
         np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
-        + np.abs(M) * np.linalg.norm(J, axis=(-2, -1))
+        + np.abs(M) * np.sqrt(np.einsum("...ij,...ij->...", J, J))
     )
     return res, np.maximum(scale, np.finfo(float).tiny * 1e20)
 
@@ -255,7 +241,7 @@ def _rejection_sample(
     how they are chunked, so the rounds change cost, not the result.
     """
     _check_sample_count(count)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     budget = _MAX_REJECTION_DRAWS * count
     out: list[Array] = []
     have = drawn = 0
@@ -306,6 +292,26 @@ def sample_off_plane(
     return _rejection_sample(seed, count, hi, 3, keep, excl)
 
 
+def _sweep_report(
+    claim: str, context: dict, field: VectorFieldSpec, density: DensitySpec,
+    pts: Array, excl: float, tol: float,
+) -> dict:
+    """Stationarity report over the sample points pts: the worst ratio of
+    the residual to its local scale, passing when it is at most tol. The
+    context entries follow the claim."""
+    res, scale = _residual_and_scale(field, density, pts)
+    worst = float(np.max(np.abs(res) / scale))
+    return {
+        "claim": claim,
+        **context,
+        "sample_count": len(pts),
+        "exclusion_radius": excl,
+        "max_residual": worst,
+        "tolerance": tol,
+        "pass": bool(worst <= tol),
+    }
+
+
 def residual_sweep(
     params: SuslovParams,
     n_points: int = 10000,
@@ -323,21 +329,17 @@ def residual_sweep(
     dens = density_spec(params, dp, extra_power=extra_power)
     excl = exclusion_radius(dp, tol=tol)
     pts = sample_off_plane(params, dp, n_points, seed, excl=excl)
-    res, scale = _residual_and_scale(field, dens, pts)
-    worst = float(np.max(np.abs(res) / scale))
-    return {
-        "claim": "div(M X) = 0 off the invariant planes",
-        "params": params.to_dict(),
-        "density": {
-            "R": dp.R, "xi_plus": dp.xi_plus, "xi_minus": dp.xi_minus,
-            "gamma": dp.gamma, "n": dp.n, "extra_power": int(extra_power),
+    return _sweep_report(
+        "div(M X) = 0 off the invariant planes",
+        {
+            "params": params.to_dict(),
+            "density": {
+                "R": dp.R, "xi_plus": dp.xi_plus, "xi_minus": dp.xi_minus,
+                "gamma": dp.gamma, "n": dp.n, "extra_power": int(extra_power),
+            },
         },
-        "sample_count": int(n_points),
-        "exclusion_radius": excl,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-    }
+        field, dens, pts, excl, tol,
+    )
 
 
 def plane_defect_sweep(
@@ -350,7 +352,7 @@ def plane_defect_sweep(
     |X1 - xi X3| must stay below tol * |X|."""
     dp = density_params(params)
     field = vector_field(params)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     worst = 0.0
     for xi in (dp.xi_plus, dp.xi_minus):
         t = rng.uniform(-2.0, 2.0, size=(n_points // 2 + 1, 2))
@@ -380,16 +382,10 @@ def fixture2d_residual_sweep(n_points: int = 4096, seed: int = 0, tol: float = 1
         return (np.abs(x[:, 0]) > guard) & (np.abs(x[:, 1]) > guard)
 
     pts = _rejection_sample(seed, n_points, 2.0, 2, keep, excl)
-    res, scale = _residual_and_scale(example2d(), example2d_density(), pts)
-    worst = float(np.max(np.abs(res) / scale))
-    return {
-        "claim": "div(M X) = 0 off the coordinate axes (plane fixture)",
-        "sample_count": int(n_points),
-        "exclusion_radius": excl,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-    }
+    return _sweep_report(
+        "div(M X) = 0 off the coordinate axes (plane fixture)", {},
+        example2d(), example2d_density(), pts, excl, tol,
+    )
 
 
 def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0) -> dict:
@@ -402,7 +398,7 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     positive and the sampled maximum reaches at least half of it.
     """
     field = vector_field(params)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     w = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     w = w[np.linalg.norm(w, axis=1) <= 1.0]
     peak = float(np.max(np.abs(divergence(field, w))))

@@ -271,6 +271,37 @@ class TestPortrait:
         assert not d.exists()
 
 
+    def test_zero_samples_is_an_error_before_any_output(self, params_file, tmp_path,
+                                                        capsys):
+        d = tmp_path / "port"
+        assert main(["portrait", "--params", params_file("p", 1.0, 0.0),
+                     "--samples", "0", "--out", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample count must be at least 1" in err
+        assert not d.exists()
+
+
+# every command that draws samples names --seed when it cannot key its generator
+@pytest.mark.parametrize("argv, a2", [
+    pytest.param(["portrait", "--T", "1", "--samples", "2"], 0.0, id="portrait"),
+    pytest.param(["verify", "suslov", "--samples", "10"], 0.0, id="verify-suslov"),
+    pytest.param(["verify", "suslov"], 1.0, id="verify-witness"),
+    pytest.param(["verify", "example2d", "--samples", "10"], 0.0, id="verify-example2d"),
+    pytest.param(["transport", "suslov", "--samples", "10"], 0.0, id="transport"),
+    pytest.param(["transport", "example2d", "--samples", "10"], 0.0,
+                 id="transport-example2d"),
+])
+def test_negative_seed_is_an_error_before_any_output(argv, a2, params_file, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--params", params_file("p", 1.0, a2), "--seed", "-1",
+                      "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must satisfy 0 <= seed < 2**128, got -1\n"
+    assert not out.exists()
+
+
 class TestVerify:
     def test_classA_pass(self, params_file, tmp_path):
         out = str(tmp_path / "v.json")

@@ -17,6 +17,7 @@ from suslovkit.fields import (
     fd_gradient,
     fd_jacobian,
     fd_step,
+    seeded_generator,
 )
 from suslovkit.measures import density_params, density_spec
 
@@ -164,3 +165,15 @@ def test_density_spec_rejects_unknown_class():
 def test_trace_helper_bit_equal_to_np_trace():
     J = np.random.default_rng(7).normal(size=(1000, 3, 3))
     np.testing.assert_array_equal(_trace(J), np.trace(J, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+def test_seeded_generator_rejects_seed_out_of_range(seed):
+    with pytest.raises(ValueError, match="seed"):
+        seeded_generator(seed)
+
+
+def test_seeded_generator_is_the_keyed_philox_stream():
+    for seed in (0, 7, 2 ** 128 - 1):
+        expected = np.random.Generator(np.random.Philox(key=seed)).uniform(size=5)
+        np.testing.assert_array_equal(seeded_generator(seed).uniform(size=5), expected)

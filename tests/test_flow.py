@@ -9,6 +9,7 @@ from suslovkit.fields import DensitySpec, VectorFieldSpec, example2d, example2d_
 from suslovkit.flow import (
     IntegrationError,
     Trajectory,
+    _candidate_distances,
     _log_volume_flow,
     detect_attractor,
     flow_map_with_jacobian,
@@ -317,6 +318,14 @@ class TestSampleEllipsoid:
         c = sample_ellipsoid(pstar, 1.0, 50, seed=43)
         assert np.any(a != c)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+    def test_seed_out_of_range_is_named(self, pstar, seed):
+        with pytest.raises(ValueError, match="seed must satisfy"):
+            sample_ellipsoid(pstar, 1.0, 5, seed=seed)
+        with pytest.raises(ValueError, match="seed must satisfy"):
+            measure_transport_check(example2d(), example2d_density(),
+                                    np.array([[1.0, 2.0], [1.0, 2.0]]), 0.0, 10, seed)
+
     def test_prefix_stability(self, pstar):
         # counter-based streams: first k samples don't depend on count
         a = sample_ellipsoid(pstar, 1.0, 10, seed=7)
@@ -468,6 +477,27 @@ class TestDetectAttractor:
         seen = {report.labels[k] for k in report.assignments if k >= 0}
         assert seen <= {"-v1", "-v3"}
         assert "-v1" in seen
+
+    @pytest.mark.parametrize("t", [1e-14, 3.4e-10, 1.49e-8, 1e-5, 1e-2])
+    def test_small_angle_is_accurate(self, t):
+        # (1, t, 0) and (1, 0, 0) are t - t^3/3 + ... apart; arccos of their
+        # dot product cannot resolve an angle below sqrt(2 eps) ~ 1.5e-8
+        states = np.array([[3.0, 3.0 * t, 0.0], [0.0, -2.0, -2.0 * t]])
+        points = np.array([[0.5, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        d = _candidate_distances(states, points, "angular")
+        assert d[0, 0] == pytest.approx(math.atan(t), rel=1e-15, abs=0.0)
+        assert d[1, 1] == pytest.approx(math.atan(t), rel=1e-15, abs=0.0)
+        assert d[0, 1] == pytest.approx(math.pi / 2, rel=1e-15)
+
+    def test_capture_does_not_fall_with_longer_runs(self, pstar_full):
+        # a sample that has converged to its sink stays captured: its
+        # distance sits at the integrator's noise floor, not on a trend
+        short, long = (suslov_attractor_probe(pstar_full, samples=60, T=T, seed=1)
+                       for T in (200.0, 2000.0))
+        assert short.none_fraction == 0.0
+        for label in short.labels:
+            assert long.fractions[label] >= short.fractions[label], label
+        assert long.none_fraction <= short.none_fraction
 
     def test_recurrent_regime_captures_nothing(self, pstar):
         report = suslov_attractor_probe(pstar, samples=30, T=100.0, seed=4)

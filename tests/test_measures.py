@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from suslovkit.measures import (
     fixture2d_residual_sweep,
     pde_residual,
     plane_defect_sweep,
-    plane_invariance_defect,
     positive_c1_measure_exists,
+    residual_scale,
     residual_sweep,
     sample_off_plane,
 )
@@ -68,6 +70,32 @@ class TestDensityParams:
             assert dp.xi_plus > dp.xi_minus
             assert dp.n % 2 == 1
             assert dp.exp_plus >= 1.0 and dp.exp_minus >= 1.0 - 1e-15
+
+    @pytest.mark.parametrize("args", [
+        pytest.param((3.0, 2.0, 1.0, 0.5, 1.0, 1.0), id="pstar"),
+        pytest.param((1.1, 1.0, 0.9, 0.0, 20.0, 1.0), id="n=3417"),
+        pytest.param((1.1, 1.0, 0.9, 0.0, 50.0, -2.0), id="gamma=4477"),
+    ])
+    def test_cancellation_free_to_60_digits(self, args):
+        # R - |A| cancels when |A| is close to R; the exact reference takes
+        # the float inputs as rationals and R to 60 digits
+        *system, a1 = args
+        p = validate(*system, a1=a1, a2=0.0)
+        l1, l2, l3 = (Fraction(v) for v in p.lam)
+        a, k3 = Fraction(p.a1), Fraction(p.K3)
+        A = a * k3 * l3
+        D = A * A + 4 * (l1 + a * a * k3) * l3 * (l1 - l2) * (l2 - l3)
+        den = 2 * (l1 - l2) * (l1 + a * a * k3)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+            R, A, den = dec(D).sqrt(), dec(A), dec(den)
+            exact = {"R": R, "gamma": (R - A) / (R + A),
+                     "xi_plus": (A + R) / den, "xi_minus": (A - R) / den}
+            dp = density_params(p)
+            for name, value in exact.items():
+                rel = abs((Decimal(getattr(dp, name)) - value) / value)
+                assert rel <= Decimal("4e-16"), (name, rel)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -131,23 +159,6 @@ class TestFirstIntegralF:
 
 
 class TestPlaneInvariance:
-    def test_origin(self, pstar):
-        dp = density_params(pstar)
-        assert plane_invariance_defect(pstar, dp, np.zeros(3)) == 0.0
-
-    def test_reference_points(self, pstar):
-        dp = density_params(pstar)
-        f = vector_field(pstar)
-        for omega in (np.array([dp.xi_plus, 1.0, 1.0]),
-                      np.array([dp.xi_minus * 2.0, 0.5, 2.0])):
-            defect = plane_invariance_defect(pstar, dp, omega)
-            assert abs(defect) <= 1e-10 * np.linalg.norm(f.eval(omega))
-
-    def test_off_plane_rejected(self, pstar):
-        dp = density_params(pstar)
-        with pytest.raises(ValueError):
-            plane_invariance_defect(pstar, dp, np.array([5.0, 0.0, 1.0]))
-
     def test_sweep(self, pstar):
         report = plane_defect_sweep(pstar, n_points=200, seed=3)
         assert report["pass"]
@@ -173,6 +184,17 @@ class TestPdeResidual:
         f = vector_field(euler)
         for x in rng.normal(size=(10, 3)):
             assert abs(pde_residual(f, ones, x)) <= 1e-9
+
+
+def test_residual_scale_frobenius_matches_linalg_norm(pstar, rng):
+    field, dens = vector_field(pstar), density_spec(pstar, density_params(pstar))
+    x = rng.normal(size=(500, 3))
+    grad_M, X = fd_gradient(dens.eval, x), field.eval(x)
+    expected = (
+        np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
+        + np.abs(dens.eval(x)) * np.linalg.norm(field.jac(x), axis=(-2, -1))
+    )
+    np.testing.assert_allclose(residual_scale(field, dens, x), expected, rtol=1e-14, atol=0)
 
 
 class TestResidualSweep:
@@ -329,3 +351,17 @@ def test_density_spec_powers_zero_set(pstar):
     x = np.array([0.9, -0.2, 0.4])
     expected = density_spec(pstar, dp).eval(x) * abs(first_integral_F(pstar, dp, x))
     assert spec.eval(x) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda p, seed: residual_sweep(p, n_points=10, seed=seed),
+    lambda p, seed: plane_defect_sweep(p, n_points=10, seed=seed),
+    lambda p, seed: divergence_witness(p, n_points=10, seed=seed),
+    lambda p, seed: fixture2d_residual_sweep(n_points=10, seed=seed),
+    lambda p, seed: sample_off_plane(p, density_params(p), 10, seed),
+], ids=["residual_sweep", "plane_defect_sweep", "divergence_witness",
+        "fixture2d_residual_sweep", "sample_off_plane"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+def test_seed_out_of_range_is_named(pstar, sweep, seed):
+    with pytest.raises(ValueError, match="seed must satisfy 0 <= seed < 2\\*\\*128"):
+        sweep(pstar, seed)
