@@ -147,36 +147,89 @@ def matrices(params: SuslovParams) -> SystemMatrices:
     return SystemMatrices(Ka=Ka, Ba=Ba, Ka_inv=Ka_inv, detKa=d2 * l3)
 
 
+#: the Levi-Civita symbol eps_lmk
+_EPS = np.zeros((3, 3, 3))
+_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
+_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+#: the monomials O_j O_k (j <= k) the field is a combination of, without
+#: O_3^2, whose coefficient Q_i33 vanishes because (Ba e_3) x e_3 = 0
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
+_N_MONO = len(_PAIRS)
+
+
+def _linear_maps_of_q() -> Array:
+    """The 0/1 matrix T with Q.ravel() @ T = [C.ravel(), S.ravel(), c]: the
+    monomial table C[i, m] = Q_ijk + Q_ikj for the pair m = (j, k), j < k,
+    and Q_ijj for m = (j, j); the Jacobian table S[k, 3 i + j] = Q_ijk + Q_ikj;
+    and the divergence covector c_k = sum_i (Q_iik + Q_iki). An entry of C
+    or S adds at most two entries of Q, and products with 1 or 0 round
+    nothing, so C and S are those sums rounded once."""
+    T = np.zeros((3, 3, 3, 3 * _N_MONO + 27 + 3))
+    for i in range(3):
+        for m, (j, k) in enumerate(_PAIRS):
+            T[i, j, k, _N_MONO * i + m] = T[i, k, j, _N_MONO * i + m] = 1.0
+        for j in range(3):
+            for k in range(3):
+                T[i, j, k, 3 * _N_MONO + 9 * k + 3 * i + j] += 1.0
+                T[i, k, j, 3 * _N_MONO + 9 * k + 3 * i + j] += 1.0
+            T[i, i, j, -3 + j] += 1.0
+            T[i, j, i, -3 + j] += 1.0
+    return T.reshape(27, -1)
+
+
+_FROM_Q = _linear_maps_of_q()
+
+
 def vector_field(params: SuslovParams) -> VectorFieldSpec:
     """The reduced field X(Omega) = Ka^{-1} ((Ba Omega) x Omega) as the
     quadratic form X_i = Q_ijk O_j O_k of one tensor
 
-        Q_ijk = sum_lm (Ka^{-1})_il eps_lmk (Ba)_mj,
+        Q_ijk = sum_lm (Ka^{-1})_il eps_lmk (Ba)_mj.
 
-    with Jacobian J_ij = (Q_ijk + Q_ikj) O_k, linear in Omega."""
+    Every table the spec uses is a linear image of Q (_linear_maps_of_q):
+    eval sums X_i = sum_m C_im mono_m over the monomials
+    mono = (O1^2, O1 O2, O1 O3, O2^2, O2 O3); jac is J_ij = (Q_ijk + Q_ikj) O_k,
+    linear in Omega; and div is the covector product div X = <c, Omega>,
+    the trace of J."""
     mats = matrices(params)
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    Q = np.einsum("il,lmk,mj->ijk", mats.Ka_inv, eps, mats.Ba)
-    # S[k, 3 i + j] = Q_ijk + Q_ikj, so J(Omega) is one (.., 3) @ (3, 9) product
-    S = (Q + Q.transpose(0, 2, 1)).transpose(2, 0, 1).reshape(3, 9).copy()
+    Q = np.einsum("il,lmk,mj->ijk", mats.Ka_inv, _EPS, mats.Ba)
+    tables = Q.reshape(27) @ _FROM_Q
+    C = tables[:3 * _N_MONO].reshape(3, _N_MONO)
+    # J(Omega) is one (.., 3) @ (3, 9) product
+    S = tables[3 * _N_MONO:-3].reshape(3, 9)
+    c = tables[-3:]
+    rows = C.tolist()
 
     def evaluate(omega: Array) -> Array:
-        # Column-major, the batch rows sit on einsum's innermost loop; C-order
-        # would put the three components there, several times slower. Points
-        # and column-major batches pass through uncopied. Layout changes only
-        # the loop order, not each row's products or the order they are
-        # summed in, so rows stay bit-equal to single-point calls; a matmul
-        # form rounds one-row products differently.
-        omega = np.asfortranarray(omega, dtype=float)
-        return np.einsum("ijk,...j,...k->...i", Q, omega, omega)
+        # One sum, from +0.0 and mono_0 first, run by two executors that
+        # round alike: Python floats for a single row, einsum for a batch. At
+        # one row einsum switches to a reduction loop that adds in another
+        # order, so no one-row input may reach it. With the monomial axis
+        # first, the batch sits on einsum's innermost loop in every layout.
+        omega = np.asarray(omega, dtype=float)
+        if omega.shape[-1:] != (3,):
+            raise ValueError(f"field points must have shape (..., 3), got {omega.shape}")
+        if omega.size == 3:
+            w0, w1, w2 = omega.ravel().tolist()
+            m0, m1, m2, m3, m4 = w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2
+            x = [0.0 + r0 * m0 + r1 * m1 + r2 * m2 + r3 * m3 + r4 * m4
+                 for r0, r1, r2, r3, r4 in rows]
+            return np.array(x).reshape(omega.shape)
+        w = omega.transpose(-1, *range(omega.ndim - 1))
+        mono = np.empty((_N_MONO,) + omega.shape[:-1])
+        # O1 (O1, O2, O3), then O2 (O2, O3): the monomials in _PAIRS order
+        np.multiply(w[0], w, out=mono[:3])
+        np.multiply(w[1], w[1:], out=mono[3:])
+        return np.einsum("im,m...->...i", C, mono)
 
     def jacobian(omega: Array) -> Array:
         omega = np.asarray(omega, dtype=float)
         return (omega @ S).reshape(omega.shape[:-1] + (3, 3))
 
-    return VectorFieldSpec(dim=3, eval=evaluate, jac=jacobian)
+    def div(omega: Array) -> Array:
+        return np.asarray(omega, dtype=float) @ c
+
+    return VectorFieldSpec(dim=3, eval=evaluate, jac=jacobian, div=div)
 
 
 def energy(params: SuslovParams, omega: Array) -> Array:

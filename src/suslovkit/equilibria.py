@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SuslovParams, energy, matrices, vector_field
-from .fields import Array
+from .fields import Array, VectorFieldSpec
 
 
 class Classification(str, Enum):
@@ -68,11 +68,18 @@ def equilibrium_directions(params: SuslovParams) -> tuple[Array, Array, Array]:
     v_i spans the lambda_i eigenline of Ba; each is checked to be a zero of
     the reduced field.
     """
+    return _checked_directions(params, vector_field(params))
+
+
+def _checked_directions(
+    params: SuslovParams, field: VectorFieldSpec
+) -> tuple[Array, Array, Array]:
+    """equilibrium_directions, with the zero check run on the given field."""
     l1, l2, l3 = params.lam
     v1 = np.array([l3 - l1, 0.0, params.a1 * params.K3])
     v2 = np.array([0.0, l3 - l2, params.a2 * params.K3])
     v3 = np.array([0.0, 0.0, 1.0])
-    X = vector_field(params).eval
+    X = field.eval
     for v in (v1, v2, v3):
         nrm = np.linalg.norm(v)
         if np.linalg.norm(X(v)) > 1e-10 * max(1.0, nrm * nrm):
@@ -100,15 +107,17 @@ def _coefficient_tolerance(params: SuslovParams, v: Array) -> float:
     return 1e-10 * matrices(params).detKa * nrm2 * max(params.lam)
 
 
-def _direction(params: SuslovParams, i: int) -> Array:
+def _direction(params: SuslovParams, i: int, field: VectorFieldSpec) -> Array:
     if i not in (1, 2, 3):
         raise ValueError("equilibrium index must be 1, 2 or 3")
-    return equilibrium_directions(params)[i - 1]
+    return _checked_directions(params, field)[i - 1]
 
 
-def _coefficients(params: SuslovParams, v: Array) -> tuple[float, float]:
+def _coefficients(
+    params: SuslovParams, v: Array, field: VectorFieldSpec
+) -> tuple[float, float]:
     """(alpha, beta) of p(z) at the equilibrium v, from the field Jacobian."""
-    J = vector_field(params).jac(v)
+    J = field.jac(v)
     tr = np.trace(J)
     detKa = matrices(params).detKa
     # + 0.0 turns the -0.0 of a vanishing trace into 0.0
@@ -117,7 +126,8 @@ def _coefficients(params: SuslovParams, v: Array) -> tuple[float, float]:
 
 def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
     """Coefficients (alpha, beta) of p(z) = det(Ka) det(z I - J(v_i))."""
-    return _coefficients(params, _direction(params, i))
+    field = vector_field(params)
+    return _coefficients(params, _direction(params, i, field), field)
 
 
 def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[float, float]:
@@ -145,8 +155,9 @@ def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[fl
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:
     """Classify the equilibrium pair +-v_i from the signs of (alpha, beta)."""
-    v = _direction(params, i)
-    alpha, beta = _coefficients(params, v)
+    field = vector_field(params)
+    v = _direction(params, i, field)
+    alpha, beta = _coefficients(params, v, field)
     tol = _coefficient_tolerance(params, v)
     if abs(beta) <= tol * max(params.lam):
         raise ValueError(f"degenerate equilibrium line V_{i}: beta vanishes")

@@ -19,11 +19,14 @@ FD_STEP_UNIT = float(np.cbrt(np.finfo(float).eps))
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """Autonomous vector field on R^dim with an optional analytic Jacobian."""
+    """Autonomous vector field on R^dim with an optional analytic Jacobian
+    and an optional analytic divergence, div mapping (..., dim) to (...,).
+    A spec without div has its divergence from jac (see divergence)."""
 
     dim: int
     eval: Callable[[Array], Array]
     jac: Optional[Callable[[Array], Array]] = None
+    div: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -99,8 +102,11 @@ def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
 
 
 def divergence(spec: VectorFieldSpec, x: Array) -> Array:
-    """Divergence of the field: the trace of its Jacobian, or of the
-    central-difference Jacobian of eval when the spec has none."""
+    """Divergence of the field: the spec's own div when it has one, else
+    the trace of its Jacobian, or of the central-difference Jacobian of eval
+    when it has neither."""
+    if spec.div is not None:
+        return spec.div(np.asarray(x, dtype=float))
     return _trace(_jacobian(spec, x))
 
 

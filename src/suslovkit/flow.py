@@ -464,6 +464,7 @@ def integrate_batch(
     tol: float = 1e-8,
     atol: float = 1e-10,
     record_times: Sequence[float] = (),
+    stats: Optional[dict] = None,
 ) -> tuple[Array, list[tuple[float, Array]]]:
     """Integrate a batch of initial states with one shared adaptive step.
 
@@ -473,12 +474,16 @@ def integrate_batch(
     The states are kept column-major, so the field evaluates each stage
     without a copy. record_times, in (0, T], are hit exactly by shortening
     the step. Returns the endpoint states and the recorded (time, states)
-    snapshots.
+    snapshots. stats, when given, is filled as integrate's integrator_stats:
+    n_accepted, n_rejected, nfev (each a call on the whole batch) and the
+    smallest and largest accepted |step|, h_min and h_max.
     """
     Y = np.asarray(x0, dtype=float)
     if Y.ndim == 1:
         Y = Y[None, :]
     if T == 0.0:
+        if stats is not None:
+            stats.update(n_accepted=0, n_rejected=0, nfev=0, h_min=np.inf, h_max=0.0)
         return Y.copy(), []
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
@@ -490,7 +495,9 @@ def integrate_batch(
     Z = np.asfortranarray(Y).T
     recorded: list[tuple[float, Array]] = []
     i_rec = 0
-    for step in _dop853_steps(rhs, 0.0, Z, T, tol, atol, "batch integration", stops=rec):
+    for step in _dop853_steps(
+        rhs, 0.0, Z, T, tol, atol, "batch integration", stops=rec, stats=stats
+    ):
         Z = step.y
         while i_rec < rec.size and rec[i_rec] == step.t:
             recorded.append((rec[i_rec], Z.T.copy()))
@@ -795,16 +802,21 @@ def _log_volume_flow(
     field: VectorFieldSpec, x0: Array, t: float, tol: float, atol: float
 ) -> tuple[Array, Array]:
     """Endpoints phi_t(x0) of a batch and their log-volumes log|det D phi_t(x0)|,
-    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0."""
-    if field.jac is None:
-        raise ValueError("measure transport requires an analytic field Jacobian")
+    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0.
+    The divergence is the field's div, or the trace of its jac."""
+    if field.div is None and field.jac is None:
+        raise ValueError(
+            "measure transport requires an analytic field divergence or Jacobian"
+        )
     dim = field.dim
 
     def evaluate(y: Array) -> Array:
-        x = y[..., :dim]
-        # the divergence first, so its Jacobians are freed before eval allocates
-        div = divergence(field, x)[..., None]
-        return np.concatenate([field.eval(x), div], axis=-1)
+        x = y[:, :dim]
+        rate = np.empty(y.shape, order="F")
+        # the divergence first, so a trace's Jacobians are freed before eval allocates
+        rate[:, dim] = divergence(field, x)
+        rate[:, :dim] = field.eval(x)
+        return rate
 
     y0 = np.zeros((len(x0), dim + 1), order="F")
     y0[:, :dim] = x0
@@ -855,8 +867,9 @@ def measure_transport_check(
     from Liouville's formula, log|det D phi_t(x)| = integral from 0 to t of
     div X(phi_s(x)) ds, integrated as one extra state beside x; the
     variational route of flow_map_with_jacobian is its test oracle. Needs
-    N >= 2. Raises ValueError when the density at the box samples, a
-    transport weight, or a standard error is not finite.
+    N >= 2. Raises ValueError when the field has neither div nor jac, or
+    when the density at the box samples, a transport weight, or a standard
+    error is not finite.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim

@@ -103,11 +103,13 @@ def density_params(params: SuslovParams) -> ClassADensityParams:
     den = 2.0 * (l1 - l2) * (l1 + a1 * a1 * K3)
     gamma = (R - A) / (R + A)
     xi_plus, xi_minus = (A + R) / den, (A - R) / den
-    # R - |A| cancels; N = R^2 - A^2 = (R - A)(R + A) gives it without loss
-    if A > 0.0:
+    # R - |A| cancels once |A| > R / 2 (below that it at most doubles R's
+    # rounding error, and the direct forms round fewer times); there
+    # N = R^2 - A^2 = (R - A)(R + A) gives it without loss
+    if A > 0.5 * R:
         gamma = N / (R + A) ** 2
         xi_minus = -N / ((R + A) * den)
-    elif A < 0.0:
+    elif A < -0.5 * R:
         gamma = (R - A) ** 2 / N
         xi_plus = N / ((R - A) * den)
     n = 3
@@ -392,7 +394,7 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     """Largest sampled |div X| over the unit ball: positive exactly when a
     positive C1 stationary density is obstructed ((a1, a2) != (0, 0)).
 
-    The divergence is the trace of the field's Jacobian (fields.divergence).
+    The divergence is the field's covector slot (fields.divergence).
     It is linear in Omega, so div X = <c, Omega> with c_k = div X(e_k), and
     its true supremum over the unit ball is |c|; pass means that supremum is
     positive and the sampled maximum reaches at least half of it.

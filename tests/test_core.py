@@ -15,7 +15,7 @@ from suslovkit.core import (
 )
 from suslovkit.fields import divergence, fd_jacobian
 
-from conftest import divergence_closed_form, draw_params
+from conftest import divergence_closed_form, divergence_covector, draw_params
 
 omega_strategy = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False),
@@ -210,6 +210,29 @@ class TestVectorField:
             for name, (batch, expected) in layouts.items():
                 np.testing.assert_array_equal(f.eval(batch), expected, err_msg=name)
 
+    def test_small_batches_and_stacks_bit_equal_to_points(self, rng):
+        # 0, 1 and 2 rows, (k, m, 3) stacks and the strided x view of a
+        # column-major (n, 4) state: at one row einsum sums in another order
+        # than at many, so every row must still be exactly its point call
+        shapes = [(0, 3), (1, 3), (2, 3), (1, 1, 3), (1, 2, 3), (2, 1, 3), (3, 4, 3)]
+        for k in range(30):
+            f = vector_field(draw_params(rng, a2=0.0 if k % 2 else None))
+            for shape in shapes:
+                W = rng.normal(size=shape)
+                ref = np.array([f.eval(w) for w in W.reshape(-1, 3)]).reshape(shape)
+                for batch in (W, np.asfortranarray(W)):
+                    np.testing.assert_array_equal(f.eval(batch), ref, err_msg=str(shape))
+            for n in (1, 2, 7):
+                y = np.asfortranarray(rng.normal(size=(n, 4)))
+                ref = np.array([f.eval(w) for w in y[:, :3]])
+                np.testing.assert_array_equal(f.eval(y[:, :3]), ref, err_msg=f"{n} rows")
+
+    def test_points_must_have_three_components(self, pstar):
+        f = vector_field(pstar)
+        for bad in (np.zeros(2), np.zeros((5, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="shape"):
+                f.eval(bad)
+
 
 class TestEnergy:
     def test_values(self, pstar):
@@ -248,8 +271,8 @@ class TestMultiplierZeta:
 
 
 class TestDivergence:
-    """The package's one divergence, the trace of the field's Jacobian,
-    against the closed form and central differences."""
+    """The package's one divergence, the field's covector slot, against the
+    closed form, the trace of the field's Jacobian and central differences."""
 
     def test_euler_identically_zero(self, euler, rng):
         f = vector_field(euler)
@@ -263,13 +286,36 @@ class TestDivergence:
         assert divergence(f, np.array([1.0, 0.0, 5.0])) == 0.0
 
     def test_matches_jacobian_trace(self, rng):
-        # the Jacobian's trace against the closed-form covector
+        # the divergence against the closed-form covector
         for _ in range(200):
             p = draw_params(rng)
             omega = rng.normal(size=3)
             dv = divergence(vector_field(p), omega)
             cf = divergence_closed_form(p, omega)
             assert abs(dv - cf) <= 1e-8 * max(1.0, abs(cf))
+
+    def test_covector_slot_to_a_few_ulps(self, rng):
+        # div X = <c, Omega> with c read off Q, against the closed-form
+        # covector and the trace of jac, in ulps of sum_k |c_k Omega_k|
+        eps = np.finfo(float).eps
+        for k in range(200):
+            p = draw_params(rng, a2=0.0 if k % 2 else None)
+            f = vector_field(p)
+            W = rng.normal(size=(20, 3))
+            d = f.div(W)
+            np.testing.assert_array_equal(divergence(f, W), d)
+            scale = np.abs(W) @ np.abs(divergence_covector(p))
+            trace = np.einsum("...ii->...", f.jac(W))
+            assert np.all(np.abs(d - divergence_closed_form(p, W)) <= 16 * eps * scale)
+            assert np.all(np.abs(d - trace) <= 16 * eps * scale)
+
+    @pytest.mark.parametrize("a1, a2", [(0.0, 0.0), (0.0, 1.3), (0.7, 0.0)])
+    def test_covector_zeros_are_exact(self, rng, a1, a2):
+        # c_k vanishes exactly where the closed form says it does
+        for _ in range(20):
+            p = draw_params(rng, a1=a1, a2=a2)
+            c = vector_field(p).div(np.eye(3))
+            np.testing.assert_array_equal(c == 0.0, np.array(divergence_covector(p)) == 0.0)
 
     def test_matches_fd_trace(self, rng):
         for _ in range(50):

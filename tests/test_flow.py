@@ -372,6 +372,21 @@ class TestBatchIntegrator:
         assert recs == []
         np.testing.assert_array_equal(Y[0], _endpoint(f, x0, T, tol=1e-10, atol=1e-12))
 
+    def test_stats_are_integrates(self, pstar_full):
+        # one row takes integrate's steps, so it counts them alike; integrate's
+        # nfev adds the 3 dense-output stages of each step
+        f = vector_field(pstar_full)
+        x0 = np.array([0.5, 0.2, 0.9])
+        stats = {}
+        integrate_batch(f, x0[None, :], 7.0, tol=1e-10, atol=1e-12, stats=stats)
+        ref = dict(integrate(f, x0, 7.0, tol=1e-10, atol=1e-12).integrator_stats)
+        ref["nfev"] -= 3 * ref["n_accepted"]
+        assert stats == ref
+        still = {}
+        integrate_batch(f, x0[None, :], 0.0, stats=still)
+        assert still == {"n_accepted": 0, "n_rejected": 0, "nfev": 0,
+                         "h_min": np.inf, "h_max": 0.0}
+
     def test_rows_match_scipy_dop853(self, pstar_full):
         f = vector_field(pstar_full)
         x0 = np.array([[0.5, 0.2, 0.9], [1.0, -0.3, 0.4], [-0.6, 0.8, 0.1]])
@@ -554,6 +569,18 @@ class TestMeasureTransport:
             measure_transport_check(bare, example2d_density(),
                                     np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, 100,
                                     seed=1)
+
+    def test_divergence_slot_alone_suffices(self, pstar):
+        # the log-volume reads the field's div; jac is only its fallback
+        f = vector_field(pstar)
+        dens = density_spec(pstar, density_params(pstar))
+        box = np.array([[0.8, 1.2]] * 3)
+        full = measure_transport_check(f, dens, box, 1.0, 2000, seed=3).to_dict()
+        div_only = VectorFieldSpec(dim=3, eval=f.eval, div=f.div)
+        assert measure_transport_check(div_only, dens, box, 1.0, 2000, seed=3).to_dict() == full
+        with pytest.raises(ValueError, match="divergence or Jacobian"):
+            measure_transport_check(VectorFieldSpec(dim=3, eval=f.eval), dens, box,
+                                    1.0, 2000, seed=3)
 
     def test_sample_counts_validated(self):
         with pytest.raises(ValueError, match="N must be"):
