@@ -191,14 +191,21 @@ def vector_field(params: SuslovParams) -> VectorFieldSpec:
     mono = (O1^2, O1 O2, O1 O3, O2^2, O2 O3); jac is J_ij = (Q_ijk + Q_ikj) O_k,
     linear in Omega; and div is the covector product div X = <c, Omega>,
     the trace of J."""
-    mats = matrices(params)
+    return _vector_field(matrices(params))
+
+
+def _vector_field(mats: SystemMatrices) -> VectorFieldSpec:
+    """vector_field from matrices already built."""
     Q = np.einsum("il,lmk,mj->ijk", mats.Ka_inv, _EPS, mats.Ba)
     tables = Q.reshape(27) @ _FROM_Q
     C = tables[:3 * _N_MONO].reshape(3, _N_MONO)
     # J(Omega) is one (.., 3) @ (3, 9) product
     S = tables[3 * _N_MONO:-3].reshape(3, 9)
     c = tables[-3:]
-    rows = C.tolist()
+    # C's rows as Python floats, for the one-row sum
+    (c00, c01, c02, c03, c04), (c10, c11, c12, c13, c14), (c20, c21, c22, c23, c24) = (
+        C.tolist()
+    )
 
     def evaluate(omega: Array) -> Array:
         # One sum, from +0.0 and mono_0 first, run by two executors that
@@ -207,14 +214,18 @@ def vector_field(params: SuslovParams) -> VectorFieldSpec:
         # order, so no one-row input may reach it. With the monomial axis
         # first, the batch sits on einsum's innermost loop in every layout.
         omega = np.asarray(omega, dtype=float)
+        if omega.shape == (3,):
+            w0, w1, w2 = omega.tolist()
+            m0, m1, m2, m3, m4 = w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2
+            return np.array([
+                0.0 + c00 * m0 + c01 * m1 + c02 * m2 + c03 * m3 + c04 * m4,
+                0.0 + c10 * m0 + c11 * m1 + c12 * m2 + c13 * m3 + c14 * m4,
+                0.0 + c20 * m0 + c21 * m1 + c22 * m2 + c23 * m3 + c24 * m4,
+            ])
         if omega.shape[-1:] != (3,):
             raise ValueError(f"field points must have shape (..., 3), got {omega.shape}")
         if omega.size == 3:
-            w0, w1, w2 = omega.ravel().tolist()
-            m0, m1, m2, m3, m4 = w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2
-            x = [0.0 + r0 * m0 + r1 * m1 + r2 * m2 + r3 * m3 + r4 * m4
-                 for r0, r1, r2, r3, r4 in rows]
-            return np.array(x).reshape(omega.shape)
+            return evaluate(omega.reshape(3)).reshape(omega.shape)
         w = omega.transpose(-1, *range(omega.ndim - 1))
         mono = np.empty((_N_MONO,) + omega.shape[:-1])
         # O1 (O1, O2, O3), then O2 (O2, O3): the monomials in _PAIRS order
@@ -234,8 +245,12 @@ def vector_field(params: SuslovParams) -> VectorFieldSpec:
 
 def energy(params: SuslovParams, omega: Array) -> Array:
     """Kinetic energy E = (1/2) <Ka Omega, Omega>, a first integral."""
+    return _energy(matrices(params).Ka, omega)
+
+
+def _energy(Ka: Array, omega: Array) -> Array:
+    """energy from Ka already built."""
     omega = np.asarray(omega, dtype=float)
-    Ka = matrices(params).Ka
     return 0.5 * np.sum((omega @ Ka) * omega, axis=-1)
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SuslovParams, energy, matrices, vector_field
+from .core import SuslovParams, _vector_field, energy, matrices, vector_field
 from .fields import Array, VectorFieldSpec
 
 
@@ -100,11 +100,11 @@ def scale_to_ellipsoid(params: SuslovParams, v: Array, eta: float, sign: int = 1
     return sign * np.sqrt(eta / e) * v
 
 
-def _coefficient_tolerance(params: SuslovParams, v: Array) -> float:
+def _coefficient_tolerance(params: SuslovParams, v: Array, detKa: float) -> float:
     """Scale-aware zero threshold for alpha; alpha and beta are homogeneous
     in v so the threshold must track the representative."""
     nrm2 = float(np.dot(v, v))
-    return 1e-10 * matrices(params).detKa * nrm2 * max(params.lam)
+    return 1e-10 * detKa * nrm2 * max(params.lam)
 
 
 def _direction(params: SuslovParams, i: int, field: VectorFieldSpec) -> Array:
@@ -113,21 +113,19 @@ def _direction(params: SuslovParams, i: int, field: VectorFieldSpec) -> Array:
     return _checked_directions(params, field)[i - 1]
 
 
-def _coefficients(
-    params: SuslovParams, v: Array, field: VectorFieldSpec
-) -> tuple[float, float]:
+def _coefficients(v: Array, field: VectorFieldSpec, detKa: float) -> tuple[float, float]:
     """(alpha, beta) of p(z) at the equilibrium v, from the field Jacobian."""
     J = field.jac(v)
     tr = np.trace(J)
-    detKa = matrices(params).detKa
     # + 0.0 turns the -0.0 of a vanishing trace into 0.0
     return float(-detKa * tr + 0.0), float(detKa * 0.5 * (tr * tr - np.trace(J @ J)))
 
 
 def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
     """Coefficients (alpha, beta) of p(z) = det(Ka) det(z I - J(v_i))."""
-    field = vector_field(params)
-    return _coefficients(params, _direction(params, i, field), field)
+    mats = matrices(params)
+    field = _vector_field(mats)
+    return _coefficients(_direction(params, i, field), field, mats.detKa)
 
 
 def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[float, float]:
@@ -155,10 +153,11 @@ def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[fl
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:
     """Classify the equilibrium pair +-v_i from the signs of (alpha, beta)."""
-    field = vector_field(params)
+    mats = matrices(params)
+    field = _vector_field(mats)
     v = _direction(params, i, field)
-    alpha, beta = _coefficients(params, v, field)
-    tol = _coefficient_tolerance(params, v)
+    alpha, beta = _coefficients(v, field, mats.detKa)
+    tol = _coefficient_tolerance(params, v, mats.detKa)
     if abs(beta) <= tol * max(params.lam):
         raise ValueError(f"degenerate equilibrium line V_{i}: beta vanishes")
     lam_i = params.lam[i - 1]

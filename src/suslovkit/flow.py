@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .core import SuslovParams, energy, matrices, vector_field
+from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
 from .equilibria import equilibrium_directions, scale_to_ellipsoid
 from .fields import Array, DensitySpec, VectorFieldSpec, divergence, seeded_generator
 
@@ -34,9 +34,9 @@ class IntegrationError(RuntimeError):
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 #: the smallest positive double, below every error norm's nonzero denominator
-_SMALLEST = np.finfo(float).smallest_subnormal
+_SMALLEST = math.ulp(0.0)
 #: DOP853's stages 1 to 11 as (row of A, node c); stage 12 is at the step's end
-_STAGES = [(_dop853.A[s, :s], _dop853.C[s]) for s in range(1, _dop853.N_STAGES)]
+_STAGES = [(_dop853.A[s, :s], float(_dop853.C[s])) for s in range(1, _dop853.N_STAGES)]
 #: accepted-or-rejected step budget of _dop853_steps before it gives up
 _MAX_STEPS = 1_000_000
 #: relative and absolute tolerances of the variational, Liouville and
@@ -94,15 +94,28 @@ def _error_norm(K2: Array, h: float, scale: Array) -> float:
     """scipy's DOP853 error norm, from the 5th- and 3rd-order error estimates
     that weigh the stage rates K2 (13, size of scale), of one state (d,), or
     the largest over the columns of a batch (d, n); a NaN column is the
-    largest."""
-    err5 = (_dop853.E5 @ K2).reshape(scale.shape) / scale
-    err3 = (_dop853.E3 @ K2).reshape(scale.shape) / scale
-    # squares of the 2-norms np.linalg.norm takes, rounded as scipy rounds them
+    largest.
+
+    After the two products with K2, one state runs on Python floats and is
+    scipy's norm bit for bit: x.dot(x) is the sum np.linalg.norm takes, sqrt
+    is correctly rounded in math as in numpy, and a float's ** 2 calls the
+    same pow as the numpy scalar's ** 2 in scipy. E5 and E3 stay two
+    (13,) @ (13, d) products, as in scipy: one (2, 13) product is a matrix
+    product that BLAS sums in another order. A batch's ** 2 acts on an array,
+    which multiplies instead of calling pow, so a batch of one can differ
+    from one state in the last bit of a square."""
+    err5 = np.dot(_dop853.E5, K2).reshape(scale.shape) / scale
+    err3 = np.dot(_dop853.E3, K2).reshape(scale.shape) / scale
+    # in both branches a state whose estimates both vanish has norm 0, not 0 / 0
+    if scale.ndim == 1:
+        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+        denom = max(err5_norm_2 + 0.01 * err3_norm_2, _SMALLEST)
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
     err5_norm_2 = np.sqrt(_sq_norms(err5)) ** 2
     err3_norm_2 = np.sqrt(_sq_norms(err3)) ** 2
-    # a column whose estimates both vanish has norm 0, not 0 / 0
     denom = np.maximum(err5_norm_2 + 0.01 * err3_norm_2, _SMALLEST)
-    return np.maximum.reduce(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)), axis=None)
+    return float(np.max(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))))
 
 
 def _dop853_steps(
@@ -131,6 +144,14 @@ def _dop853_steps(
     what, carrying the last accepted time. A t1 that is not finite, or a tol
     or atol that is not finite and positive, raises ValueError before any
     step.
+
+    One state and a batch share this loop; what keeps one state on scipy's
+    bits is the rounding of each leaf. The stage table is built once per run.
+    Each stage combination is np.dot(row of A, earlier stages), which sums
+    as scipy's np.dot(K[:s].T, row) does. Times, step sizes, factors and the
+    counts are Python floats: the same doubles as the numpy scalars scipy
+    uses, and the float ** of the factor calls the same pow. The error norm
+    of one state is also taken on Python floats (see _error_norm).
     """
     if not np.isfinite(t1):
         raise ValueError(f"{what}: end time must be finite, got {t1}")
@@ -138,18 +159,21 @@ def _dop853_steps(
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{what}: {name} must be finite and positive, got {value}")
     direction = 1.0 if t1 > t0 else -1.0
-    stops = [s for s in stops if direction * (t1 - s) > 0.0] + [t1]
+    stops = [float(s) for s in stops if direction * (t1 - s) > 0.0] + [float(t1)]
     n_stages = _dop853.N_STAGES
-    counts = {"n_accepted": 0, "n_rejected": 0, "nfev": 2, "h_min": np.inf, "h_max": 0.0}
+    counts = {"n_accepted": 0, "n_rejected": 0, "nfev": 2, "h_min": math.inf, "h_max": 0.0}
     if stats is not None:
         stats.update(counts)
         counts = stats
     # K[0] holds the rate at the state each step starts from
-    K = np.empty((n_stages + 1,) + y0.shape)
+    shape = y0.shape
+    K = np.empty((n_stages + 1,) + shape)
     K2 = K.reshape(n_stages + 1, -1)  # the stages as rows, for the combinations
+    # each stage's row of A, node, earlier stages and own slot, built once
+    stages = [(a, c, K2[:s], K[s]) for s, (a, c) in enumerate(_STAGES, start=1)]
     K[0] = rhs(t0, y0)
-    h_abs = _initial_step(rhs, t0, y0, K[0], t1, tol, atol)
-    t, y = t0, y0
+    h_abs = float(_initial_step(rhs, t0, y0, K[0], t1, tol, atol))
+    t, y = float(t0), y0
     i_stop = 0
     attempts = 0
     while direction * (t - t1) < 0.0:
@@ -175,13 +199,15 @@ def _dop853_steps(
             if clamped:
                 t_new = stop
             h = t_new - t
-            # each stage state is y + h sum_j a_j K[j], rounded as scipy rounds it
-            for s, (a, c) in enumerate(_STAGES, start=1):
-                K[s] = rhs(t + c * h, y + (a @ K2[:s]).reshape(y.shape) * h)
-            y_new = y + h * (_dop853.B @ K2[:-1]).reshape(y.shape)
+            # each stage state is y + h sum_j a_j K[j], rounded as scipy rounds it:
+            # np.dot of a row and the stages is the gemv of scipy's np.dot
+            for a, c, K_before, K_s in stages:
+                K_s[...] = rhs(t + c * h, y + np.dot(a, K_before).reshape(shape) * h)
+            y_new = y + h * np.dot(_dop853.B, K2[:-1]).reshape(shape)
             K[-1] = rhs(t + h, y_new)
             counts["nfev"] += n_stages
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            # Python floats from here on: the same doubles as numpy scalars
             error_norm = _error_norm(K2, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -191,18 +217,18 @@ def _dop853_steps(
                 if rejected:
                     factor = min(1, factor)
                 if not clamped:
-                    h_abs = np.abs(h) * factor
+                    h_abs = abs(h) * factor
                 break
-            if np.isfinite(error_norm):
+            if math.isfinite(error_norm):
                 factor = max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             else:
                 factor = _MIN_FACTOR
-            h_abs = np.abs(h) * factor
+            h_abs = abs(h) * factor
             rejected = True
             counts["n_rejected"] += 1
         counts["n_accepted"] += 1
-        counts["h_min"] = min(counts["h_min"], float(abs(h)))
-        counts["h_max"] = max(counts["h_max"], float(abs(h)))
+        counts["h_min"] = min(counts["h_min"], abs(h))
+        counts["h_max"] = max(counts["h_max"], abs(h))
         y_next = y_new if project is None else np.asarray(project(y_new), dtype=float)
         yield _Step(t, t_new, y, y_new, K, y_next)
         t, y = t_new, y_next
@@ -390,6 +416,13 @@ def integrate(
         raise ValueError(f"x0 must have shape ({field.dim},)")
     if T == 0.0:
         raise ValueError("integration horizon T must be nonzero")
+    if record_times is not None:
+        grid = np.asarray(record_times, dtype=float)
+        lo, hi = min(0.0, T), max(0.0, T)
+        # the bounds are asserted, not their breach, so a NaN time fails
+        # them; a T that is not finite is left to the stepper, which names it
+        if np.isfinite(T) and not np.all((grid >= lo - 1e-12) & (grid <= hi + 1e-12)):
+            raise ValueError("record_times must lie within the integration span")
 
     rhs = lambda t, y: field.eval(y)
     ts = [0.0]
@@ -408,10 +441,6 @@ def integrate(
     stats["nfev"] += 3 * stats["n_accepted"]
 
     if record_times is not None:
-        grid = np.asarray(record_times, dtype=float)
-        lo, hi = min(0.0, T), max(0.0, T)
-        if grid.size and (grid.min() < lo - 1e-12 or grid.max() > hi + 1e-12):
-            raise ValueError("record_times must lie within the integration span")
         t_out = np.unique(np.concatenate([[0.0, T], grid]))
         x_out = dense(t_out).T
     else:
@@ -442,14 +471,15 @@ def simulate(
     project_energy: bool = False,
 ) -> Trajectory:
     """Integrate the reduced system with energy-drift diagnostics attached."""
-    field = vector_field(params)
-    e_fn = lambda w: energy(params, w)
+    mats = matrices(params)
+    field = _vector_field(mats)
+    e_fn = lambda w: _energy(mats.Ka, w)
     project = None
     if project_energy:
-        eta0 = float(energy(params, np.asarray(omega0, dtype=float)))
+        eta0 = float(e_fn(omega0))
 
         def project(w: Array) -> Array:
-            return w * np.sqrt(eta0 / float(energy(params, w)))
+            return w * np.sqrt(eta0 / float(e_fn(w)))
 
     return integrate(
         field, omega0, T, tol=tol, atol=atol, record_times=record_times,
@@ -470,7 +500,8 @@ def integrate_batch(
 
     The DOP853 loop of integrate, run on all states at once: the error norm
     is that of the worst state, so the step honors the tolerance for every
-    member of the batch, and a batch of one state takes integrate's steps.
+    member of the batch, and a batch of one state takes integrate's steps
+    unless the last bit of its error norm's square differs (see _error_norm).
     The states are kept column-major, so the field evaluates each stage
     without a copy. record_times, in (0, T], are hit exactly by shortening
     the step. Returns the endpoint states and the recorded (time, states)
@@ -487,7 +518,9 @@ def integrate_batch(
         return Y.copy(), []
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
-    if rec.size and (np.min(s * rec) <= 0.0 or np.max(s * rec) > s * T):
+    # the bounds are asserted, not their breach, so a NaN time fails them;
+    # a T that is not finite is left to the stepper, which names it
+    if np.isfinite(T) and not np.all((s * rec > 0.0) & (s * rec <= s * T)):
         raise ValueError("record_times must lie in (0, T]")
 
     # a (d, n) C-ordered state is the (n, d) column-major batch, transposed
@@ -572,16 +605,22 @@ def liouville_residual(params: SuslovParams, omega0: Array, t: float) -> dict:
     }
 
 
-def quat_mul(q: Array, r: Array) -> Array:
-    """Hamilton product of scalar-first quaternions."""
+def _hamilton(q, r) -> tuple:
+    """The four components of the Hamilton product of scalar-first
+    quaternions q and r, whose components are floats or arrays alike."""
     w1, x1, y1, z1 = q
     w2, x2, y2, z2 = r
-    return np.array([
+    return (
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    )
+
+
+def quat_mul(q: Array, r: Array) -> Array:
+    """Hamilton product of scalar-first quaternions."""
+    return np.array(_hamilton(q, r))
 
 
 def _trajectory_matches_field(field: VectorFieldSpec, traj: Trajectory) -> bool:
@@ -620,11 +659,16 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     dense_omega = traj.dense
 
     def rhs(t, y: Array) -> Array:
-        # t (), y (5,) -> (5,), or t (n,), y (n, 5) -> (n, 5)
+        # t (), y (5,) -> (5,), or t (n,), y (n, 5) -> (n, 5). One state is
+        # read once into Python floats, whose products and sums round as the
+        # batch's elementwise ones do
         w = dense_omega(t)
-        dq = 0.5 * quat_mul(y.T[:4], (0.0, w[0], w[1], w[2]))
-        dth = -(a1 * w[0] + a2 * w[1] + w[2])
-        return np.concatenate([dq, [dth]]).T
+        if y.ndim == 1:
+            (w0, w1, w2), q = w.tolist(), y[:4].tolist()
+        else:
+            (w0, w1, w2), q = w, y.T[:4]
+        dq = _hamilton(q, (0.0, w0, w1, w2))
+        return np.array([0.5 * c for c in dq] + [-(a1 * w0 + a2 * w1 + w2)]).T
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])

@@ -240,7 +240,7 @@ class TestClassify:
                 r = classify(p, i)
                 if beta_cf < 0.0:
                     assert r.classification is Classification.SADDLE
-                elif abs(alpha_cf) <= _coefficient_tolerance(p, v):
+                elif abs(alpha_cf) <= _coefficient_tolerance(p, v, matrices(p).detKa):
                     assert r.classification is Classification.LINEAR_CENTER_PAIR
                 else:
                     assert r.classification is Classification.SOURCE_SINK_PAIR

@@ -10,6 +10,8 @@ from suslovkit.flow import (
     IntegrationError,
     Trajectory,
     _candidate_distances,
+    _dop853_interpolant,
+    _error_norm,
     _log_volume_flow,
     detect_attractor,
     flow_map_with_jacobian,
@@ -56,6 +58,22 @@ def _scipy_simulate(params, omega0, T, project_energy):
             solver.f = rhs(solver.t, solver.y)
 
     return _scipy_route(rhs, 0.0, omega0, T, project)
+
+
+def _bits(x):
+    """The doubles of x as integers, so that equality is bit for bit."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def _counting(field):
+    """field with a counter of its eval calls, in calls[0]."""
+    calls = [0]
+
+    def evaluate(x):
+        calls[0] += 1
+        return field.eval(x)
+
+    return VectorFieldSpec(dim=field.dim, eval=evaluate), calls
 
 
 def _endpoint(field, x0, T, **kw):
@@ -118,6 +136,16 @@ class TestIntegrate:
             Trajectory(times=np.array([0.0, 1.0, 0.5]),
                        states=np.zeros((3, 2)),
                        energy_drift=0.0, integrator_stats={})
+
+    @pytest.mark.parametrize("T, grid", [(10.0, [np.nan]), (10.0, [5.0, np.nan]),
+                                         (-10.0, [-5.0, np.nan])])
+    def test_nan_record_time_rejected_before_any_step(self, pstar, T, grid):
+        f, calls = _counting(vector_field(pstar))
+        with pytest.raises(ValueError, match="record_times"):
+            integrate(f, np.array([0.3, -0.4, 0.5]), T, record_times=grid)
+        assert calls[0] == 0
+        with pytest.raises(ValueError, match="record_times"):
+            simulate(pstar, np.array([0.3, -0.4, 0.5]), T, record_times=grid)
 
     def test_stats_account_for_all_evaluations(self, pstar):
         traj = simulate(pstar, np.array([1.0, 1.0, 1.0]), 10.0)
@@ -238,6 +266,30 @@ class TestReconstruct:
         traj = simulate(pstar, np.array([0.8, 0.3, 0.5]), 5.0)
         with pytest.raises(ValueError):
             reconstruct(pstar_full, traj)
+
+    def test_one_state_rhs_is_its_batch_row(self, pstar_full, rng, monkeypatch):
+        # the stepping calls the rhs on one state and the dense output on a
+        # batch, so the two must round alike, row by row
+        seen = {}
+
+        def spy(rhs, steps):
+            seen["rhs"] = rhs
+            return _dop853_interpolant(rhs, steps)
+
+        monkeypatch.setattr("suslovkit.flow._dop853_interpolant", spy)
+        traj = simulate(pstar_full, np.array([0.5, -0.7, 0.3]), 15.0)
+        reconstruct(pstar_full, traj)
+        rhs = seen["rhs"]
+        # step boundaries, points inside steps, and states with signed zeros
+        ts = np.concatenate([traj.times[:20], rng.uniform(0.0, 15.0, size=30)])
+        ys = rng.normal(size=(ts.size, 5))
+        ys[::7, 1:3] = -0.0
+        batch = rhs(ts, ys)
+        assert batch.shape == ys.shape
+        for t, y, row in zip(ts, ys, batch):
+            one = rhs(float(t), y)
+            assert one.shape == (5,)
+            np.testing.assert_array_equal(_bits(one), _bits(row))
 
 
 class TestDenseOutput:
@@ -363,6 +415,14 @@ class TestBatchIntegrator:
         with pytest.raises(ValueError):
             integrate_batch(f, np.zeros((1, 3)), 5.0, record_times=(6.0,))
 
+    @pytest.mark.parametrize("T, grid", [(10.0, [5.0, np.nan]), (10.0, [np.nan]),
+                                         (-10.0, [np.nan, -5.0])])
+    def test_nan_record_time_rejected_before_any_step(self, pstar, T, grid):
+        f, calls = _counting(vector_field(pstar))
+        with pytest.raises(ValueError, match="record_times"):
+            integrate_batch(f, np.array([[0.3, -0.4, 0.5]]), T, record_times=grid)
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("T", [7.0, -7.0])
     def test_one_row_is_integrate_bit_for_bit(self, pstar_full, T):
         # one loop: a batch of one state takes integrate's steps exactly
@@ -417,6 +477,10 @@ _BOX_2D = np.array([[1.0, 2.0], [1.0, 2.0]])
 _RUNS = {
     "integrate": lambda T, **kw: integrate(example2d(), _X0_2D, T, **kw),
     "integrate_batch": lambda T, **kw: integrate_batch(example2d(), _X0_2D[None], T, **kw),
+    # a grid must not take the place of the horizon's own error
+    "integrate_on_grid": lambda T: integrate(example2d(), _X0_2D, T, record_times=[0.5]),
+    "integrate_batch_on_grid": lambda T: integrate_batch(
+        example2d(), _X0_2D[None], T, record_times=[0.5]),
     "flow_map_with_jacobian": lambda T: flow_map_with_jacobian(example2d(), _X0_2D, T),
     "measure_transport_check": lambda T: measure_transport_check(
         example2d(), example2d_density(), _BOX_2D, T, 100, seed=1),
@@ -441,6 +505,41 @@ class TestArgumentChecks:
     def test_bad_tolerance_rejected(self, run, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             _RUNS[run](1.0, **{name: value})
+
+
+@pytest.mark.parametrize("case", ["finite", "zero", "inf", "nan"])
+def test_one_state_error_norm_is_scipys_and_near_its_batch_of_one(case, rng):
+    # one state runs on Python floats and must give scipy's own norm; a
+    # batch runs on arrays, and a (d, 1) batch of the same state must give
+    # the same norm. The one rounding they may not share is the square of
+    # the 2-norm: a numpy scalar's ** 2 (scipy's) calls pow, an array's
+    # multiplies, and the two differ in the last bit for about 1 in 1000
+    # values, so a finite norm may differ by that square's last bit
+    scipy_norm = lambda K2, h, scale: DOP853._estimate_error_norm(DOP853, K2, h, scale)
+    for d in (3, 5, 12):
+        for _ in range(50):
+            K2 = rng.normal(size=(13, d)) * 10.0 ** rng.uniform(-8.0, 3.0)
+            if case == "zero":
+                K2[:] = 0.0
+            elif case != "finite":
+                K2[rng.integers(13), rng.integers(d)] = np.inf if case == "inf" else np.nan
+            scale = 1e-12 + np.abs(rng.normal(size=d)) * 1e-10
+            h = float(rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 1.0))
+            with np.errstate(invalid="ignore"):
+                one = _error_norm(K2, h, scale)
+                batch = _error_norm(K2, h, scale[:, None])
+                want = scipy_norm(K2, h, scale)
+            assert type(one) is float and type(batch) is float
+            assert _bits(one) == _bits(want)
+            if case == "finite":
+                assert 0.0 < one < np.inf
+                assert abs(batch - one) <= 2.0 * np.spacing(one)
+            else:
+                assert _bits(batch) == _bits(one)
+            if case == "zero":
+                assert one == 0.0
+            elif case != "finite":
+                assert not math.isfinite(one)
 
 
 def test_scipy_dop853_tableau_guard():
