@@ -86,7 +86,10 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated numbers, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    vals = np.array([float(p) for p in parts])
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{what} values must be finite, got {text}")
+    return vals
 
 
 def _require_params(args: argparse.Namespace) -> SuslovParams:

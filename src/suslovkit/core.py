@@ -188,7 +188,8 @@ def vector_field(params: SuslovParams) -> VectorFieldSpec:
 
     Every table the spec uses is a linear image of Q (_linear_maps_of_q):
     eval sums X_i = sum_m C_im mono_m over the monomials
-    mono = (O1^2, O1 O2, O1 O3, O2^2, O2 O3); jac is J_ij = (Q_ijk + Q_ikj) O_k,
+    mono = (O1^2, O1 O2, O1 O3, O2^2, O2 O3), and point is that sum at one
+    point on Python floats; jac is J_ij = (Q_ijk + Q_ikj) O_k,
     linear in Omega; and div is the covector product div X = <c, Omega>,
     the trace of J."""
     return _vector_field(matrices(params))
@@ -207,6 +208,15 @@ def _vector_field(mats: SystemMatrices) -> VectorFieldSpec:
         C.tolist()
     )
 
+    def point(w: list) -> list:
+        w0, w1, w2 = w
+        m0, m1, m2, m3, m4 = w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2
+        return [
+            0.0 + c00 * m0 + c01 * m1 + c02 * m2 + c03 * m3 + c04 * m4,
+            0.0 + c10 * m0 + c11 * m1 + c12 * m2 + c13 * m3 + c14 * m4,
+            0.0 + c20 * m0 + c21 * m1 + c22 * m2 + c23 * m3 + c24 * m4,
+        ]
+
     def evaluate(omega: Array) -> Array:
         # One sum, from +0.0 and mono_0 first, run by two executors that
         # round alike: Python floats for a single row, einsum for a batch. At
@@ -215,13 +225,7 @@ def _vector_field(mats: SystemMatrices) -> VectorFieldSpec:
         # first, the batch sits on einsum's innermost loop in every layout.
         omega = np.asarray(omega, dtype=float)
         if omega.shape == (3,):
-            w0, w1, w2 = omega.tolist()
-            m0, m1, m2, m3, m4 = w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2
-            return np.array([
-                0.0 + c00 * m0 + c01 * m1 + c02 * m2 + c03 * m3 + c04 * m4,
-                0.0 + c10 * m0 + c11 * m1 + c12 * m2 + c13 * m3 + c14 * m4,
-                0.0 + c20 * m0 + c21 * m1 + c22 * m2 + c23 * m3 + c24 * m4,
-            ])
+            return np.array(point(omega.tolist()))
         if omega.shape[-1:] != (3,):
             raise ValueError(f"field points must have shape (..., 3), got {omega.shape}")
         if omega.size == 3:
@@ -240,7 +244,7 @@ def _vector_field(mats: SystemMatrices) -> VectorFieldSpec:
     def div(omega: Array) -> Array:
         return np.asarray(omega, dtype=float) @ c
 
-    return VectorFieldSpec(dim=3, eval=evaluate, jac=jacobian, div=div)
+    return VectorFieldSpec(dim=3, eval=evaluate, jac=jacobian, div=div, point=point)
 
 
 def energy(params: SuslovParams, omega: Array) -> Array:

@@ -7,7 +7,7 @@ to arrays of the same shape, and ``jac`` maps (..., dim) to (..., dim, dim).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,12 +21,16 @@ FD_STEP_UNIT = float(np.cbrt(np.finfo(float).eps))
 class VectorFieldSpec:
     """Autonomous vector field on R^dim with an optional analytic Jacobian
     and an optional analytic divergence, div mapping (..., dim) to (...,).
-    A spec without div has its divergence from jac (see divergence)."""
+    A spec without div has its divergence from jac (see divergence).
+    point, when given, is eval at one point on Python floats (a list of dim
+    floats in, dim floats out, each bit-equal to eval's), which the scalar
+    integrator calls per stage to skip numpy's call overhead."""
 
     dim: int
     eval: Callable[[Array], Array]
     jac: Optional[Callable[[Array], Array]] = None
     div: Optional[Callable[[Array], Array]] = None
+    point: Optional[Callable[[list], Sequence[float]]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:

@@ -87,7 +87,7 @@ def _initial_step(rhs, t0, y0, f0, t1, tol, atol) -> float:
     d12 = np.fmax.reduce(np.maximum(d1, d2)[~flat], initial=0.0)
     if d12 > 0.0:
         h1 = min(h1, (0.01 / d12) ** (1 / 8))
-    return min(float(np.min(100 * h0)), h1, interval)
+    return float(min(np.min(100 * h0), h1, interval))
 
 
 def _error_norm(K2: Array, h: float, scale: Array) -> float:
@@ -119,7 +119,7 @@ def _error_norm(K2: Array, h: float, scale: Array) -> float:
 
 
 def _dop853_steps(
-    rhs: Callable[[float, Array], Array], t0: float, y0: Array, t1: float,
+    rhs: Callable, t0: float, y0: Array, t1: float,
     tol: float, atol: float, what: str, stops: Sequence[float] = (),
     project: Optional[Callable[[Array], Array]] = None,
     stats: Optional[dict] = None,
@@ -128,7 +128,7 @@ def _dop853_steps(
     from t0 to t1, yielding each accepted step as a _Step.
 
     The state y0 is one state (d,) or a batch (d, n) of columns that share
-    every step; rhs maps a time and a state of that shape to its rate. The
+    every step; rhs maps a time and a state to its rate (see below). The
     tableau is scipy's (scipy.integrate._ivp.dop853_coefficients), and so are
     the initial step, the minimum step and the step-size control, so on one
     state with no stops the steps are scipy's DOP853 steps bit for bit. A
@@ -145,13 +145,14 @@ def _dop853_steps(
     or atol that is not finite and positive, raises ValueError before any
     step.
 
-    One state and a batch share this loop; what keeps one state on scipy's
-    bits is the rounding of each leaf. The stage table is built once per run.
-    Each stage combination is np.dot(row of A, earlier stages), which sums
-    as scipy's np.dot(K[:s].T, row) does. Times, step sizes, factors and the
-    counts are Python floats: the same doubles as the numpy scalars scipy
-    uses, and the float ** of the factor calls the same pow. The error norm
-    of one state is also taken on Python floats (see _error_norm).
+    One loop body serves both shapes; its leaves, picked once by y0.ndim,
+    each round as scipy does. One state runs on Python floats: y, the stage
+    states and y_new are lists, rhs takes a list and returns d floats, and
+    y_new becomes an array once per accepted step. Stage sums stay
+    np.dot(row of A, earlier stages), scipy's gemv, whose fused multiply-adds
+    a Python sum would not repeat; float * and + round as numpy's elementwise
+    ones, and the scale keeps np.maximum's NaN. Times, steps and factors are
+    Python floats, whose ** calls scipy's pow, and so is the error norm.
     """
     if not np.isfinite(t1):
         raise ValueError(f"{what}: end time must be finite, got {t1}")
@@ -165,15 +166,27 @@ def _dop853_steps(
     if stats is not None:
         stats.update(counts)
         counts = stats
-    # K[0] holds the rate at the state each step starts from
+    # the leaves: the state y + h dy and atol + max(|y|, |y_new|) tol
     shape = y0.shape
+    if y0.ndim == 1:
+        floats, array = np.ndarray.tolist, np.array
+        advance = lambda y, dy, h: [yi + di * h for yi, di in zip(y, dy.tolist())]
+        error_scale = lambda y, y_new: np.array([
+            atol + (u if u > v or u != u else v) * tol
+            for u, v in zip(map(abs, y), map(abs, y_new))
+        ])
+    else:
+        floats = array = np.asarray  # the array itself
+        advance = lambda y, dy, h: y + dy.reshape(shape) * h
+        error_scale = lambda y, y_new: atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+    # K[0] holds the rate at the state each step starts from
     K = np.empty((n_stages + 1,) + shape)
     K2 = K.reshape(n_stages + 1, -1)  # the stages as rows, for the combinations
     # each stage's row of A, node, earlier stages and own slot, built once
     stages = [(a, c, K2[:s], K[s]) for s, (a, c) in enumerate(_STAGES, start=1)]
-    K[0] = rhs(t0, y0)
-    h_abs = float(_initial_step(rhs, t0, y0, K[0], t1, tol, atol))
-    t, y = float(t0), y0
+    K[0] = rhs(t0, floats(y0))
+    h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, K[0], t1, tol, atol)
+    t, y = float(t0), floats(y0)
     i_stop = 0
     attempts = 0
     while direction * (t - t1) < 0.0:
@@ -202,11 +215,11 @@ def _dop853_steps(
             # each stage state is y + h sum_j a_j K[j], rounded as scipy rounds it:
             # np.dot of a row and the stages is the gemv of scipy's np.dot
             for a, c, K_before, K_s in stages:
-                K_s[...] = rhs(t + c * h, y + np.dot(a, K_before).reshape(shape) * h)
-            y_new = y + h * np.dot(_dop853.B, K2[:-1]).reshape(shape)
+                K_s[...] = rhs(t + c * h, advance(y, np.dot(a, K_before), h))
+            y_new = advance(y, np.dot(_dop853.B, K2[:-1]), h)
             K[-1] = rhs(t + h, y_new)
             counts["nfev"] += n_stages
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            scale = error_scale(y, y_new)
             # Python floats from here on: the same doubles as numpy scalars
             error_norm = _error_norm(K2, h, scale)
             if error_norm < 1:
@@ -229,9 +242,10 @@ def _dop853_steps(
         counts["n_accepted"] += 1
         counts["h_min"] = min(counts["h_min"], abs(h))
         counts["h_max"] = max(counts["h_max"], abs(h))
+        y_new = array(y_new)
         y_next = y_new if project is None else np.asarray(project(y_new), dtype=float)
-        yield _Step(t, t_new, y, y_new, K, y_next)
-        t, y = t_new, y_next
+        yield _Step(t, t_new, array(y), y_new, K, y_next)
+        t, y = t_new, floats(y_next)
         if project is None:
             K[0] = K[-1]
         else:
@@ -280,12 +294,12 @@ class DenseOutput:
         self._h_list = self._h.tolist()
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        if type(t) is float or np.ndim(t) == 0:
             t = float(t)
             find = bisect_left if self._forward else bisect_right
             k = min(max(find(self._breaks_list, t) - 1, 0), len(self._h_list) - 1)
             theta = (t - self._t_old_list[k]) / self._h_list[k]
-            return self._y_old[k] + np.array(_basis(theta)) @ self._F[k]
+            return self._y_old[k] + np.dot(_basis(theta), self._F[k])
         t = np.asarray(t, dtype=float)
         side = "left" if self._forward else "right"
         k = np.clip(np.searchsorted(self._breaks, t, side) - 1, 0, self._h.size - 1)
@@ -409,11 +423,14 @@ def integrate(
     correction, never silent default behavior, and each step's interpolant
     ends at the unprojected state. integrator_stats gives n_accepted,
     n_rejected, nfev and the smallest and largest accepted |step|, h_min and
-    h_max.
+    h_max. The steps call field.point, or field.eval on a (dim,) array when
+    the spec has no point. An x0 that is not finite is a ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     if T == 0.0:
         raise ValueError("integration horizon T must be nonzero")
     if record_times is not None:
@@ -424,19 +441,20 @@ def integrate(
         if np.isfinite(T) and not np.all((grid >= lo - 1e-12) & (grid <= hi + 1e-12)):
             raise ValueError("record_times must lie within the integration span")
 
-    rhs = lambda t, y: field.eval(y)
+    point = field.point or (lambda y: field.eval(np.array(y)))
     ts = [0.0]
     states = [x0.copy()]
     steps = []
     stats: dict = {}
     for step in _dop853_steps(
-        rhs, 0.0, x0, T, tol, atol, "integration", project=project, stats=stats
+        lambda t, y: point(y), 0.0, x0, T, tol, atol, "integration",
+        project=project, stats=stats,
     ):
         steps.append((step.t_old, step.t, step.y_old, step.y_new, step.K.copy()))
         ts.append(step.t)
         states.append(step.y)
 
-    dense = _dop853_interpolant(rhs, steps)
+    dense = _dop853_interpolant(lambda t, y: field.eval(y), steps)
     # nfev also counts the 3 dense-output stages of each step
     stats["nfev"] += 3 * stats["n_accepted"]
 
@@ -570,7 +588,8 @@ def flow_map_with_jacobian(
     aug = _augmented_field(field)
     y0 = np.concatenate([x0, np.eye(dim).ravel()])
     for step in _dop853_steps(
-        lambda s, y: aug.eval(y), 0.0, y0, t, _TOL, _ATOL, "variational integration"
+        lambda s, y: aug.eval(np.array(y)), 0.0, y0, t, _TOL, _ATOL,
+        "variational integration",
     ):
         pass
     return step.y[:dim].copy(), step.y[dim:].reshape(dim, dim).copy()
@@ -658,17 +677,16 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     a1, a2 = params.a1, params.a2
     dense_omega = traj.dense
 
-    def rhs(t, y: Array) -> Array:
-        # t (), y (5,) -> (5,), or t (n,), y (n, 5) -> (n, 5). One state is
-        # read once into Python floats, whose products and sums round as the
-        # batch's elementwise ones do
+    def rhs(t, y):
+        # t float, y a list of 5 floats -> a list of 5 floats, or t (n,),
+        # y (n, 5) -> (n, 5). One state runs on Python floats, whose products
+        # and sums round as the batch's elementwise ones do
         w = dense_omega(t)
-        if y.ndim == 1:
-            (w0, w1, w2), q = w.tolist(), y[:4].tolist()
-        else:
-            (w0, w1, w2), q = w, y.T[:4]
-        dq = _hamilton(q, (0.0, w0, w1, w2))
-        return np.array([0.5 * c for c in dq] + [-(a1 * w0 + a2 * w1 + w2)]).T
+        one = type(y) is list
+        (w0, w1, w2), q = (w.tolist(), y[:4]) if one else (w, y.T[:4])
+        rate = [0.5 * c for c in _hamilton(q, (0.0, w0, w1, w2))]
+        rate.append(-(a1 * w0 + a2 * w1 + w2))
+        return rate if one else np.array(rate).T
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
@@ -912,13 +930,15 @@ def measure_transport_check(
     div X(phi_s(x)) ds, integrated as one extra state beside x; the
     variational route of flow_map_with_jacobian is its test oracle. Needs
     N >= 2. Raises ValueError when the field has neither div nor jac, or
-    when the density at the box samples, a transport weight, or a standard
-    error is not finite.
+    when a box bound, the density at the box samples, a transport weight, or
+    a standard error is not finite.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
     if A.shape != (dim, 2):
         raise ValueError(f"box must have shape ({dim}, 2)")
+    if not np.isfinite(A).all():
+        raise ValueError("box bounds must be finite")
     widths = A[:, 1] - A[:, 0]
     if np.any(widths <= 0.0):
         raise ValueError("box must have positive widths")

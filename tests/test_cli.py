@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,19 @@ class TestSimulate:
                 if not l.startswith("#")]
         assert capsys.readouterr().out == "".join(rows)
 
+    @pytest.mark.parametrize("omega0", ["nan,0.2,0.9", "inf,0.2,0.9", "0.5,-inf,0.9"])
+    def test_non_finite_start_is_named(self, params_file, tmp_path, capsys, omega0):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--params", params_file("p", 1.0, 1.0),
+                       f"--omega0={omega0}", "--T", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--omega0" in err and "finite" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, named", [
         ("--T=nan", "end time must be finite"),
         ("--tol=-1", "tol must be finite and positive"),
@@ -420,6 +434,16 @@ class TestTransport:
                      f"--T={T}", "--samples", "2000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "end time must be finite" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_finite_box_is_named(self, params_file, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["transport", "--params", params_file("p", 1.0, 0.0),
+                     "--box", "nan,1.2,0.8,1.2,0.8,1.2", "--density", "uniform",
+                     "--samples", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--box" in err and "finite" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

@@ -227,6 +227,24 @@ class TestVectorField:
                 ref = np.array([f.eval(w) for w in y[:, :3]])
                 np.testing.assert_array_equal(f.eval(y[:, :3]), ref, err_msg=f"{n} rows")
 
+    def test_point_slot_is_eval_bit_for_bit(self, rng):
+        # the scalar integrator calls point on Python floats; each result must
+        # be the (3,) eval and its row of a batch, signed zeros included
+        for k in range(20):
+            f = vector_field(draw_params(rng, a2=0.0 if k % 2 else None))
+            W = rng.normal(size=(40, 3))
+            W[::5, 1] = -0.0
+            W[1::5, ::2] = -0.0
+            W[2::5] = 0.0
+            batch = f.eval(W)
+            for w, row in zip(W, batch):
+                one = f.point(w.tolist())
+                assert len(one) == 3 and all(type(x) is float for x in one)
+                np.testing.assert_array_equal(
+                    np.array(one).view(np.uint64), f.eval(w).view(np.uint64))
+                np.testing.assert_array_equal(
+                    np.array(one).view(np.uint64), row.view(np.uint64))
+
     def test_points_must_have_three_components(self, pstar):
         f = vector_field(pstar)
         for bad in (np.zeros(2), np.zeros((5, 4)), np.float64(1.0)):

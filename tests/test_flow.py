@@ -147,6 +147,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="record_times"):
             simulate(pstar, np.array([0.3, -0.4, 0.5]), T, record_times=grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected_before_any_step(self, pstar, bad):
+        f, calls = _counting(vector_field(pstar))
+        x0 = np.array([0.3, bad, 0.5])
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            integrate(f, x0, 5.0)
+        assert calls[0] == 0
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate(pstar, x0, 5.0)
+
     def test_stats_account_for_all_evaluations(self, pstar):
         traj = simulate(pstar, np.array([1.0, 1.0, 1.0]), 10.0)
         s = traj.integrator_stats
@@ -287,8 +297,9 @@ class TestReconstruct:
         batch = rhs(ts, ys)
         assert batch.shape == ys.shape
         for t, y, row in zip(ts, ys, batch):
-            one = rhs(float(t), y)
-            assert one.shape == (5,)
+            # the stepping hands the rhs one state as a list of floats
+            one = rhs(float(t), y.tolist())
+            assert len(one) == 5
             np.testing.assert_array_equal(_bits(one), _bits(row))
 
 
@@ -355,6 +366,63 @@ class TestDenseOutput:
         h = np.diff(_scipy_simulate(pstar, omega0, -100.0, False)[0])
         assert back.integrator_stats["h_min"] == np.abs(h).min() > 0.0
         assert back.integrator_stats["h_max"] == np.abs(h).max()
+
+
+class TestFloatPath:
+    """One state steps on Python floats through the spec's point slot; a
+    spec without it steps on field.eval of an array, and the two agree bit
+    for bit."""
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("T", [40.0, -40.0])
+    @pytest.mark.parametrize("which", ["pstar", "pstar_full"])
+    def test_eval_fallback_takes_the_same_steps(self, which, T, grid, project, request):
+        params = request.getfixturevalue(which)
+        f = vector_field(params)
+        assert f.point is not None
+        w0 = np.array([0.3, -0.4, 0.5])
+        eta0 = float(energy(params, w0))
+        proj = (lambda w: w * np.sqrt(eta0 / float(energy(params, w)))) if project else None
+        kw = dict(project=proj)
+        if grid:
+            kw["record_times"] = np.linspace(0.0, T, 201)[1:]
+        full = integrate(f, w0, T, **kw)
+        bare = integrate(VectorFieldSpec(dim=3, eval=f.eval, jac=f.jac), w0, T, **kw)
+        np.testing.assert_array_equal(_bits(full.times), _bits(bare.times))
+        np.testing.assert_array_equal(_bits(full.states), _bits(bare.states))
+        assert full.integrator_stats == bare.integrator_stats
+        ts = np.linspace(0.0, T, 97)
+        np.testing.assert_array_equal(_bits(full.dense(ts)), _bits(bare.dense(ts)))
+        if project:
+            # simulate's own projection takes the same steps
+            sim = simulate(params, w0, T, project_energy=True,
+                           record_times=kw.get("record_times"))
+            np.testing.assert_array_equal(_bits(sim.states), _bits(full.states))
+            assert sim.integrator_stats == full.integrator_stats
+
+    def test_mid_run_blowup_is_the_same_error(self):
+        # x' = x^2 from 1 blows up at t = 1 on both paths
+        def point(y):
+            return [y[0] * y[0]]
+
+        quad = VectorFieldSpec(dim=1, eval=lambda x: x ** 2, point=point)
+        bare = VectorFieldSpec(dim=1, eval=lambda x: x ** 2)
+        errors = []
+        for f in (quad, bare):
+            with pytest.raises(IntegrationError, match="step size") as exc:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    integrate(f, np.array([1.0]), 2.0)
+            errors.append(exc.value)
+        # scipy's DOP853, the oracle, fails after the same last accepted step
+        oracle = DOP853(lambda t, y: y ** 2, 0.0, np.array([1.0]), 2.0,
+                        rtol=1e-10, atol=1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while oracle.status == "running":
+                oracle.step()
+        assert oracle.status == "failed"
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].t_last == errors[1].t_last == oracle.t
 
 
 class TestSampleEllipsoid:
