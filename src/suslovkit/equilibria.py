@@ -68,30 +68,35 @@ def equilibrium_directions(params: SuslovParams) -> tuple[Array, Array, Array]:
     v_i spans the lambda_i eigenline of Ba; each is checked to be a zero of
     the reduced field.
     """
-    return _checked_directions(params, vector_field(params))
+    field = vector_field(params)
+    return tuple(_checked_zero(field, v) for v in _line_directions(params))
 
 
-def _checked_directions(
-    params: SuslovParams, field: VectorFieldSpec
-) -> tuple[Array, Array, Array]:
-    """equilibrium_directions, with the zero check run on the given field."""
+def _line_directions(params: SuslovParams) -> tuple[Array, Array, Array]:
     l1, l2, l3 = params.lam
-    v1 = np.array([l3 - l1, 0.0, params.a1 * params.K3])
-    v2 = np.array([0.0, l3 - l2, params.a2 * params.K3])
-    v3 = np.array([0.0, 0.0, 1.0])
-    X = field.eval
-    for v in (v1, v2, v3):
-        nrm = np.linalg.norm(v)
-        if np.linalg.norm(X(v)) > 1e-10 * max(1.0, nrm * nrm):
-            raise AssertionError("equilibrium direction fails the field zero check")
-    return v1, v2, v3
+    return (
+        np.array([l3 - l1, 0.0, params.a1 * params.K3]),
+        np.array([0.0, l3 - l2, params.a2 * params.K3]),
+        np.array([0.0, 0.0, 1.0]),
+    )
+
+
+def _checked_zero(field: VectorFieldSpec, v: Array) -> Array:
+    if np.linalg.norm(field.eval(v)) > 1e-10 * max(1.0, float(v @ v)):
+        raise AssertionError("equilibrium direction fails the field zero check")
+    return v
+
+
+def _check_energy_level(eta: float) -> None:
+    """Raise ValueError unless eta is finite and positive."""
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 def scale_to_ellipsoid(params: SuslovParams, v: Array, eta: float, sign: int = 1) -> Array:
     """Scale v onto the energy ellipsoid E = eta; sign selects the antipode."""
     v = np.asarray(v, dtype=float)
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    _check_energy_level(eta)
     e = float(energy(params, v))
     if e == 0.0:
         raise ValueError("cannot scale the zero vector onto an ellipsoid")
@@ -100,22 +105,19 @@ def scale_to_ellipsoid(params: SuslovParams, v: Array, eta: float, sign: int = 1
     return sign * np.sqrt(eta / e) * v
 
 
-def _coefficient_tolerance(params: SuslovParams, v: Array, detKa: float) -> float:
-    """Scale-aware zero threshold for alpha; alpha and beta are homogeneous
-    in v so the threshold must track the representative."""
-    nrm2 = float(np.dot(v, v))
-    return 1e-10 * detKa * nrm2 * max(params.lam)
-
-
-def _direction(params: SuslovParams, i: int, field: VectorFieldSpec) -> Array:
+def _linearization(params: SuslovParams, i: int) -> tuple[Array, Array, float]:
+    """The representative v_i of the i-th line, checked to be a zero of the
+    field, the field Jacobian J(v_i) and det Ka."""
     if i not in (1, 2, 3):
         raise ValueError("equilibrium index must be 1, 2 or 3")
-    return _checked_directions(params, field)[i - 1]
+    mats = matrices(params)
+    field = _vector_field(mats)
+    v = _checked_zero(field, _line_directions(params)[i - 1])
+    return v, field.jac(v), mats.detKa
 
 
-def _coefficients(v: Array, field: VectorFieldSpec, detKa: float) -> tuple[float, float]:
-    """(alpha, beta) of p(z) at the equilibrium v, from the field Jacobian."""
-    J = field.jac(v)
+def _coefficients(J: Array, detKa: float) -> tuple[float, float]:
+    """(alpha, beta) of p(z) = det(Ka) det(z I - J)."""
     tr = np.trace(J)
     # + 0.0 turns the -0.0 of a vanishing trace into 0.0
     return float(-detKa * tr + 0.0), float(detKa * 0.5 * (tr * tr - np.trace(J @ J)))
@@ -123,9 +125,8 @@ def _coefficients(v: Array, field: VectorFieldSpec, detKa: float) -> tuple[float
 
 def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
     """Coefficients (alpha, beta) of p(z) = det(Ka) det(z I - J(v_i))."""
-    mats = matrices(params)
-    field = _vector_field(mats)
-    return _coefficients(_direction(params, i, field), field, mats.detKa)
+    _, J, detKa = _linearization(params, i)
+    return _coefficients(J, detKa)
 
 
 def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[float, float]:
@@ -152,36 +153,28 @@ def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[fl
 
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:
-    """Classify the equilibrium pair +-v_i from the signs of (alpha, beta)."""
-    mats = matrices(params)
-    field = _vector_field(mats)
-    v = _direction(params, i, field)
-    alpha, beta = _coefficients(v, field, mats.detKa)
-    tol = _coefficient_tolerance(params, v, mats.detKa)
-    if abs(beta) <= tol * max(params.lam):
+    """Classify the equilibrium pair +-v_i from the signs of (alpha, beta).
+    alpha counts as zero when |alpha| <= 1e-10 det(Ka) ||J||_F, and beta when
+    |beta| <= 1e-10 det(Ka) ||J||_F^2, which is a degenerate line (ValueError).
+    Each test has the degree of the coefficient it judges, so the table is the
+    same in every unit of the moments and for every representative c v_i."""
+    v, J, detKa = _linearization(params, i)
+    alpha, beta = _coefficients(J, detKa)
+    jj = float(np.vdot(J, J))  # ||J||_F^2
+    if abs(beta) <= 1e-10 * detKa * jj:
         raise ValueError(f"degenerate equilibrium line V_{i}: beta vanishes")
-    lam_i = params.lam[i - 1]
+    src = snk = None
+    note = ""
     if beta < 0.0:
         cls = Classification.SADDLE
-        src = snk = None
-        note = ""
-    elif abs(alpha) <= tol:
+    elif abs(alpha) <= 1e-10 * detKa * np.sqrt(jj):
         cls = Classification.LINEAR_CENTER_PAIR
-        src = snk = None
         note = "nonlinear center on the energy ellipsoid (known result, not verified here)"
     else:
         cls = Classification.SOURCE_SINK_PAIR
         # alpha < 0: v_i is the source and -v_i the sink; alpha > 0 swaps them
         src, snk = (1, -1) if alpha < 0.0 else (-1, 1)
-        note = ""
     return EquilibriumReport(
-        index=i,
-        lambda_i=lam_i,
-        direction=v,
-        alpha=alpha,
-        beta=beta,
-        classification=cls,
-        source_sign=src,
-        sink_sign=snk,
-        annotation=note,
+        index=i, lambda_i=params.lam[i - 1], direction=v, alpha=alpha, beta=beta,
+        classification=cls, source_sign=src, sink_sign=snk, annotation=note,
     )

@@ -15,7 +15,7 @@ from scipy.integrate import simpson
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
-from .equilibria import equilibrium_directions, scale_to_ellipsoid
+from .equilibria import _check_energy_level, equilibrium_directions, scale_to_ellipsoid
 from .fields import Array, DensitySpec, VectorFieldSpec, divergence, seeded_generator
 
 
@@ -143,7 +143,7 @@ def _dop853_steps(
     or more than _MAX_STEPS attempts raise IntegrationError labelled with
     what, carrying the last accepted time. A t1 that is not finite, or a tol
     or atol that is not finite and positive, raises ValueError before any
-    step.
+    step. A t1 equal to t0 then yields nothing and calls rhs never.
 
     One loop body serves both shapes; its leaves, picked once by y0.ndim,
     each round as scipy does. One state runs on Python floats: y, the stage
@@ -159,13 +159,15 @@ def _dop853_steps(
     for name, value in (("tol", tol), ("atol", atol)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{what}: {name} must be finite and positive, got {value}")
-    direction = 1.0 if t1 > t0 else -1.0
-    stops = [float(s) for s in stops if direction * (t1 - s) > 0.0] + [float(t1)]
-    n_stages = _dop853.N_STAGES
-    counts = {"n_accepted": 0, "n_rejected": 0, "nfev": 2, "h_min": math.inf, "h_max": 0.0}
+    counts = {"n_accepted": 0, "n_rejected": 0, "nfev": 0, "h_min": math.inf, "h_max": 0.0}
     if stats is not None:
         stats.update(counts)
         counts = stats
+    if t1 == t0:
+        return
+    direction = 1.0 if t1 > t0 else -1.0
+    stops = [float(s) for s in stops if direction * (t1 - s) > 0.0] + [float(t1)]
+    n_stages = _dop853.N_STAGES
     # the leaves: the state y + h dy and atol + max(|y|, |y_new|) tol
     shape = y0.shape
     if y0.ndim == 1:
@@ -186,6 +188,7 @@ def _dop853_steps(
     stages = [(a, c, K2[:s], K[s]) for s, (a, c) in enumerate(_STAGES, start=1)]
     K[0] = rhs(t0, floats(y0))
     h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, K[0], t1, tol, atol)
+    counts["nfev"] += 2  # K[0] and the initial step's probe
     t, y = float(t0), floats(y0)
     i_stop = 0
     attempts = 0
@@ -402,6 +405,16 @@ class TransportReport:
         }
 
 
+def _checked_start(field: VectorFieldSpec, x0: Array) -> Array:
+    """x0 as a float array, checked to be one finite state of the field."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (field.dim,):
+        raise ValueError(f"x0 must have shape ({field.dim},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    return x0
+
+
 def integrate(
     field: VectorFieldSpec,
     x0: Array,
@@ -426,11 +439,7 @@ def integrate(
     h_max. The steps call field.point, or field.eval on a (dim,) array when
     the spec has no point. An x0 that is not finite is a ValueError.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.dim,):
-        raise ValueError(f"x0 must have shape ({field.dim},)")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    x0 = _checked_start(field, x0)
     if T == 0.0:
         raise ValueError("integration horizon T must be nonzero")
     if record_times is not None:
@@ -522,18 +531,15 @@ def integrate_batch(
     unless the last bit of its error norm's square differs (see _error_norm).
     The states are kept column-major, so the field evaluates each stage
     without a copy. record_times, in (0, T], are hit exactly by shortening
-    the step. Returns the endpoint states and the recorded (time, states)
-    snapshots. stats, when given, is filled as integrate's integrator_stats:
-    n_accepted, n_rejected, nfev (each a call on the whole batch) and the
-    smallest and largest accepted |step|, h_min and h_max.
+    the step. Returns the endpoint states, a copy of x0 when T = 0, and the
+    recorded (time, states) snapshots. stats, when given, is filled as
+    integrate's integrator_stats: n_accepted, n_rejected, nfev (each a call
+    on the whole batch) and the smallest and largest accepted |step|, h_min
+    and h_max.
     """
     Y = np.asarray(x0, dtype=float)
     if Y.ndim == 1:
         Y = Y[None, :]
-    if T == 0.0:
-        if stats is not None:
-            stats.update(n_accepted=0, n_rejected=0, nfev=0, h_min=np.inf, h_max=0.0)
-        return Y.copy(), []
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
     # the bounds are asserted, not their breach, so a NaN time fails them;
@@ -554,7 +560,7 @@ def integrate_batch(
             recorded.append((rec[i_rec], Z.T.copy()))
             i_rec += 1
         del step  # its start state need not stay alive through the next step
-    return Z.T, recorded
+    return np.array(Z.T), recorded  # at T = 0, Z.T may be x0's memory
 
 
 def _augmented_field(field: VectorFieldSpec) -> VectorFieldSpec:
@@ -580,19 +586,18 @@ def flow_map_with_jacobian(
     field: VectorFieldSpec, x0: Array, t: float
 ) -> tuple[Array, Array]:
     """Endpoint phi_t(x0) and the flow-map Jacobian D phi_t(x0), computed
-    jointly from the variational equations with D(0) = identity."""
-    x0 = np.asarray(x0, dtype=float)
+    jointly from the variational equations with D(0) = identity. An x0 that
+    is not finite is a ValueError."""
+    x0 = _checked_start(field, x0)
     dim = field.dim
-    if t == 0.0:
-        return x0.copy(), np.eye(dim)
     aug = _augmented_field(field)
-    y0 = np.concatenate([x0, np.eye(dim).ravel()])
+    y = np.concatenate([x0, np.eye(dim).ravel()])
     for step in _dop853_steps(
-        lambda s, y: aug.eval(np.array(y)), 0.0, y0, t, _TOL, _ATOL,
+        lambda s, z: aug.eval(np.array(z)), 0.0, y, t, _TOL, _ATOL,
         "variational integration",
     ):
-        pass
-    return step.y[:dim].copy(), step.y[dim:].reshape(dim, dim).copy()
+        y = step.y
+    return y[:dim].copy(), y[dim:].reshape(dim, dim).copy()
 
 
 #: Simpson nodes for the divergence quadrature of liouville_residual
@@ -723,8 +728,7 @@ def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) ->
     which lands exactly on the ellipsoid; the counter-based generator keeps the
     draw reproducible and independent of any worker partitioning.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    _check_energy_level(eta)
     L = np.linalg.cholesky(matrices(params).Ka)
     rng = seeded_generator(seed)
     g = rng.standard_normal((count, 3))

@@ -86,8 +86,10 @@ def positive_c1_measure_exists(params: SuslovParams) -> bool:
 
 
 def classA_measure_exists(params: SuslovParams) -> bool:
-    """Whether an invariant measure with a.e.-positive density exists: exactly
-    when a2 = 0 (the explicit density above realizes it)."""
+    """Whether an invariant measure with an a.e.-positive, locally integrable
+    density exists: exactly when a2 = 0, as the density above shows; for
+    a2 != 0 line 1 holds a sink. At a1 = 0, 1/|q(O2, O3)| (q quadratic) is an
+    a.e.-positive invariant density that is not locally integrable."""
     return params.a2 == 0.0
 
 

@@ -83,6 +83,21 @@ class TestAnalyze:
             snk = "+" if r.sink_sign > 0 else "-"
             assert line.endswith(f"SourceSinkPair (source {src}v{i}, sink {snk}v{i})")
 
+    def test_table_is_the_same_in_every_unit(self, params_file, tmp_path, capsys):
+        # pstar_full with its moments in units 1e5 times smaller: lambda,
+        # alpha and beta scale, the classification text does not
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps({"I1": 3e5, "I2": 2e5, "I3": 1e5, "K1": 0.5e5,
+                                      "K3": 1e5, "a1": 1.0, "a2": 1.0, "a3": 1.0}))
+        texts = []
+        for pfile in (params_file("p", 1.0, 1.0), str(scaled)):
+            assert main(["analyze", "--params", pfile]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            texts.append([l.split(")", 1)[1].split(None, 2)[2] for l in lines[1:4]]
+                         + lines[4:])
+        assert texts[1] == texts[0]
+        assert texts[0][0] == "SourceSinkPair (source +v1, sink -v1)"
+
     def test_vanishing_alpha_prints_zero(self, params_file, tmp_path, capsys):
         # lines 1 and 3 of an a2 = 0 set have alpha = 0, never -0
         out = str(tmp_path / "a.json")
@@ -273,6 +288,8 @@ class TestPortrait:
         ("--T=inf", "--T must be finite and positive"),
         ("--tol=0", "tol must be finite and positive"),
         ("--eta=-1", "eta must be positive"),
+        ("--eta=nan", "eta must be positive and finite, got nan"),
+        ("--eta=inf", "eta must be positive and finite, got inf"),
     ])
     def test_bad_option_is_an_error_before_any_output(self, params_file, tmp_path,
                                                       capsys, option, named):

@@ -6,7 +6,6 @@ import pytest
 from suslovkit.core import energy, matrices, validate, vector_field
 from suslovkit.equilibria import (
     Classification,
-    _coefficient_tolerance,
     classify,
     equilibrium_directions,
     scale_to_ellipsoid,
@@ -67,6 +66,11 @@ class TestScaleToEllipsoid:
             eta = rng.uniform(0.1, 4.0)
             w = scale_to_ellipsoid(p, v, eta)
             assert energy(p, w) == pytest.approx(eta, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, -1.0])
+    def test_energy_level_must_be_finite_and_positive(self, pstar, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            scale_to_ellipsoid(pstar, np.array([0.0, 0.0, 1.0]), eta)
 
     def test_zero_direction_rejected(self, pstar):
         with pytest.raises(ValueError):
@@ -229,18 +233,19 @@ class TestClassify:
 
     def test_alpha_tolerance_agrees_with_closed_form(self, rng):
         # |a2| in [1e-12, 1e-6] puts alpha_1 and alpha_3 on both sides of
-        # classify's zero threshold; the closed form, judged by the same
-        # threshold, must give the same classification
+        # classify's zero threshold 1e-10 det(Ka) ||J(v_i)||_F; the closed
+        # form, judged by the same threshold, must give the same classification
         seen = set()
         for _ in range(300):
             a2 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -6.0)
             p = draw_params(rng, a2=a2)
+            jac = vector_field(p).jac
             for i, v in enumerate(equilibrium_directions(p), start=1):
                 alpha_cf, beta_cf = stability_coefficients_closed_form(p, i)
                 r = classify(p, i)
                 if beta_cf < 0.0:
                     assert r.classification is Classification.SADDLE
-                elif abs(alpha_cf) <= _coefficient_tolerance(p, v, matrices(p).detKa):
+                elif abs(alpha_cf) <= 1e-10 * matrices(p).detKa * np.linalg.norm(jac(v)):
                     assert r.classification is Classification.LINEAR_CENTER_PAIR
                 else:
                     assert r.classification is Classification.SOURCE_SINK_PAIR
@@ -250,6 +255,18 @@ class TestClassify:
         for i in (1, 3):
             assert (i, Classification.LINEAR_CENTER_PAIR) in seen
             assert (i, Classification.SOURCE_SINK_PAIR) in seen
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e4, 1e6])
+    def test_table_is_the_same_in_every_unit(self, rng, s):
+        # moments in units s times smaller leave the field unchanged, while
+        # alpha grows as s^4 and beta as s^5; so must their zero tests
+        for a2 in [0.0] * 15 + [None] * 15:
+            p = draw_params(rng, a2=a2)
+            q = validate(*(s * m for m in (p.I1, p.I2, p.I3, p.K1, p.K3)), a1=p.a1, a2=p.a2)
+            for i in (1, 2, 3):
+                r, rq = classify(p, i), classify(q, i)
+                assert (rq.classification, rq.source_sign, rq.sink_sign) == (
+                    r.classification, r.source_sign, r.sink_sign)
 
     def test_report_round_trip(self, pstar_full):
         r = classify(pstar_full, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def _counting(field):
         calls[0] += 1
         return field.eval(x)
 
-    return VectorFieldSpec(dim=field.dim, eval=evaluate), calls
+    return VectorFieldSpec(dim=field.dim, eval=evaluate, jac=field.jac), calls
 
 
 def _endpoint(field, x0, T, **kw):
@@ -149,13 +150,18 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_rejected_before_any_step(self, pstar, bad):
+        # the variational route too, and no RuntimeWarning on the way
         f, calls = _counting(vector_field(pstar))
         x0 = np.array([0.3, bad, 0.5])
-        with pytest.raises(ValueError, match="x0 must be finite"):
-            integrate(f, x0, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for run, arg in ((integrate, f), (flow_map_with_jacobian, f),
+                             (simulate, pstar), (liouville_residual, pstar)):
+                with pytest.raises(ValueError, match="x0 must be finite"):
+                    run(arg, x0, 5.0)
         assert calls[0] == 0
-        with pytest.raises(ValueError, match="x0 must be finite"):
-            simulate(pstar, x0, 5.0)
+        with pytest.raises(ValueError, match=r"x0 must have shape \(3,\)"):
+            flow_map_with_jacobian(f, np.zeros(2), 5.0)
 
     def test_stats_account_for_all_evaluations(self, pstar):
         traj = simulate(pstar, np.array([1.0, 1.0, 1.0]), 10.0)
@@ -446,6 +452,15 @@ class TestSampleEllipsoid:
             measure_transport_check(example2d(), example2d_density(),
                                     np.array([[1.0, 2.0], [1.0, 2.0]]), 0.0, 10, seed)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0])
+    def test_energy_level_must_be_finite_and_positive(self, pstar_full, eta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                sample_ellipsoid(pstar_full, eta, 5, seed=1)
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                suslov_attractor_probe(pstar_full, eta=eta, samples=5, T=1.0)
+
     def test_prefix_stability(self, pstar):
         # counter-based streams: first k samples don't depend on count
         a = sample_ellipsoid(pstar, 1.0, 10, seed=7)
@@ -514,6 +529,24 @@ class TestBatchIntegrator:
         integrate_batch(f, x0[None, :], 0.0, stats=still)
         assert still == {"n_accepted": 0, "n_rejected": 0, "nfev": 0,
                          "h_min": np.inf, "h_max": 0.0}
+
+    def test_zero_horizon_takes_no_step(self, pstar):
+        # the stepping loop decides T = 0: no rhs call, and the endpoints
+        # are a copy of the start, in its own memory
+        f, calls = _counting(vector_field(pstar))
+        x0 = np.array([[0.5, 0.2, 0.9], [1.0, -0.3, 0.4]])
+        for start in (x0, np.asfortranarray(x0), x0[:1]):
+            Y, recs = integrate_batch(f, start, 0.0)
+            np.testing.assert_array_equal(Y, start)
+            assert recs == [] and not np.shares_memory(Y, start)
+        assert calls[0] == 0
+        x, _ = flow_map_with_jacobian(vector_field(pstar), x0[0], 0.0)
+        assert not np.shares_memory(x, x0)
+
+    @pytest.mark.parametrize("name, value", [("tol", np.nan), ("atol", 0.0)])
+    def test_zero_horizon_checks_tolerances(self, pstar, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            integrate_batch(vector_field(pstar), np.ones((1, 3)), 0.0, **{name: value})
 
     def test_rows_match_scipy_dop853(self, pstar_full):
         f = vector_field(pstar_full)
