@@ -82,7 +82,8 @@ def _line_directions(params: SuslovParams) -> tuple[Array, Array, Array]:
 
 
 def _checked_zero(field: VectorFieldSpec, v: Array) -> Array:
-    if np.linalg.norm(field.eval(v)) > 1e-10 * max(1.0, float(v @ v)):
+    # X is quadratic and Q unit-free, so |X(v)| / |v|^2 is free of units
+    if np.linalg.norm(field.eval(v)) > 1e-10 * float(v @ v):
         raise AssertionError("equilibrium direction fails the field zero check")
     return v
 

@@ -5,14 +5,14 @@ measure transport checks.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
 from .equilibria import _check_energy_level, equilibrium_directions, scale_to_ellipsoid
@@ -27,6 +27,28 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.t_last = t_last
 
+
+def _load_dop853_tableau():
+    """scipy's DOP853 tableau, the module scipy/integrate/_ivp/
+    dop853_coefficients.py executed from its own file. That file imports only
+    numpy, and finding it runs no scipy code, so importing this module loads
+    neither scipy nor scipy.integrate. The module is registered under no name."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("suslovkit needs scipy's DOP853 tableau, but scipy is not installed")
+    path = Path(scipy.origin).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    if not path.is_file():
+        # imported here only: it takes longer to import than the tableau
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy's DOP853 tableau is not at {path} (scipy {version('scipy')})")
+    spec = importlib.util.spec_from_file_location("suslovkit.flow._dop853", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dop853 = _load_dop853_tableau()
 
 #: scipy's DOP853 step-size control (scipy.integrate._ivp.rk): the safety
 #: factor, the bounds on the factor by which one step may change the next, and
@@ -616,6 +638,10 @@ def liouville_residual(params: SuslovParams, omega0: Array, t: float) -> dict:
     field = vector_field(params)
     _, D = flow_map_with_jacobian(field, omega0, t)
     sign, logdet = np.linalg.slogdet(D)
+    # scipy's quadrature, kept apart from the integrator; importing it loads
+    # scipy.integrate, which nothing else in the package needs
+    from scipy.integrate import simpson
+
     traj = integrate(field, omega0, t, tol=_TOL, atol=_ATOL)
     ts = np.linspace(0.0, t, _LIOUVILLE_QUAD_POINTS)
     eval_only = VectorFieldSpec(dim=field.dim, eval=field.eval)

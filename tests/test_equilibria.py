@@ -6,6 +6,7 @@ import pytest
 from suslovkit.core import energy, matrices, validate, vector_field
 from suslovkit.equilibria import (
     Classification,
+    _checked_zero,
     classify,
     equilibrium_directions,
     scale_to_ellipsoid,
@@ -46,7 +47,35 @@ def test_directions_are_equilibria(rng):
         p = draw_params(rng)
         f = vector_field(p)
         for v in equilibrium_directions(p):
-            assert np.linalg.norm(f.eval(v)) <= 1e-10 * max(1.0, v @ v)
+            assert np.linalg.norm(f.eval(v)) <= 1e-10 * (v @ v)
+
+
+def _in_units(p, s):
+    """p with its moments (I, K) written in units s times smaller."""
+    return validate(*(s * m for m in (p.I1, p.I2, p.I3, p.K1, p.K3)), a1=p.a1, a2=p.a2)
+
+
+class TestFieldZeroCheck:
+    # X is quadratic, so the check compares |X(v)| with |v|^2 and gives the
+    # same verdict whatever the units of the moments
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_off_line_direction_is_rejected(self, pstar_full, s):
+        p = _in_units(pstar_full, s)
+        v1 = equilibrium_directions(p)[0]
+        w = v1 + 0.3 * np.linalg.norm(v1) * np.array([0.0, 1.0, 0.0])
+        f = vector_field(p)
+        assert np.linalg.norm(f.eval(w)) / (w @ w) > 0.1  # far from a zero
+        with pytest.raises(AssertionError, match="field zero check"):
+            _checked_zero(f, w)
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_true_directions_pass(self, pstar_full, rng, s):
+        drawn = [draw_params(rng, a2=a2) for a2 in [0.0] * 10 + [None] * 10]
+        for p in [_in_units(q, s) for q in [pstar_full, *drawn]]:
+            f = vector_field(p)
+            for v in equilibrium_directions(p):
+                assert _checked_zero(f, v) is v
 
 
 class TestScaleToEllipsoid:

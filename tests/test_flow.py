@@ -1,10 +1,16 @@
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import DOP853, OdeSolution
 
+import suslovkit
+from suslovkit import flow
 from suslovkit.core import energy, validate, vector_field
 from suslovkit.fields import DensitySpec, VectorFieldSpec, example2d, example2d_density
 from suslovkit.flow import (
@@ -13,6 +19,7 @@ from suslovkit.flow import (
     _candidate_distances,
     _dop853_interpolant,
     _error_norm,
+    _load_dop853_tableau,
     _log_volume_flow,
     detect_attractor,
     flow_map_with_jacobian,
@@ -658,6 +665,38 @@ def test_scipy_dop853_tableau_guard():
     assert abs(c.E3.sum()) <= 1e-14 and abs(c.E5.sum()) <= 1e-14
     # the 13th stage is the rate at the step's end state, which seeds the next step
     assert c.C[12] == 1.0 and np.array_equal(c.A[12, :12], c.B)
+    # the loop's own copy, executed from the same file, holds the same bits
+    # and is registered under no module name
+    own = flow._dop853
+    assert own is not c and Path(own.__file__) == Path(c.__file__)
+    assert own.__name__ not in sys.modules
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert type(getattr(own, name)) is int and getattr(own, name) == getattr(c, name)
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        mine, theirs = getattr(own, name), getattr(c, name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def test_missing_tableau_file_is_an_import_error(monkeypatch, tmp_path):
+    # a scipy without the tableau's file fails by its path and scipy's version
+    fake = type("Spec", (), {"origin": str(tmp_path / "scipy" / "__init__.py")})
+    monkeypatch.setattr(flow.importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match="not at .*dop853_coefficients.py") as info:
+        _load_dop853_tableau()
+    assert f"scipy {scipy.__version__}" in str(info.value)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # a fresh interpreter, as this session has scipy.integrate loaded already
+    src = str(Path(suslovkit.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import suslovkit, suslovkit.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDetectAttractor:
