@@ -168,6 +168,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "integrator_stats": traj.integrator_stats,
         "schema_version": SCHEMA_VERSION,
     }
+    if args.reconstruct:
+        config["attitude_integrator_stats"] = att.integrator_stats
     if args.format == "json":
         doc = _report_header("simulate", config)
         doc["columns"] = cols

@@ -57,8 +57,11 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 #: the smallest positive double, below every error norm's nonzero denominator
 _SMALLEST = math.ulp(0.0)
-#: DOP853's stages 1 to 11 as (row of A, node c); stage 12 is at the step's end
-_STAGES = [(_dop853.A[s, :s], float(_dop853.C[s])) for s in range(1, _dop853.N_STAGES)]
+#: DOP853's stages 1 to 11 as (node c, bound dot of its row of A); stage 12
+#: is at the step's end
+_STAGES = [(float(_dop853.C[s]), _dop853.A[s, :s].dot) for s in range(1, _dop853.N_STAGES)]
+#: the products of the 5th- and 3rd-order error weights with the stages
+_E5_DOT, _E3_DOT = _dop853.E5.dot, _dop853.E3.dot
 #: accepted-or-rejected step budget of _dop853_steps before it gives up
 _MAX_STEPS = 1_000_000
 #: relative and absolute tolerances of the variational, Liouville and
@@ -69,15 +72,16 @@ _TOL, _ATOL = 1e-10, 1e-12
 class _Step(NamedTuple):
     """One accepted step of _dop853_steps. y_new is the step's own end state,
     which its interpolant ends at; y is the state the next step starts from,
-    project(y_new) when a project hook is given. K holds the 13 stage rates
-    in the loop's buffer, which the next step overwrites."""
+    project(y_new) when a project hook is given. y_old, y_new and y are lists
+    of floats for one state and arrays for a batch. K holds the 13 stage
+    rates in the loop's buffer, which the next step overwrites."""
 
     t_old: float
     t: float
-    y_old: Array
-    y_new: Array
+    y_old: list | Array
+    y_new: list | Array
     K: Array
-    y: Array
+    y: list | Array
 
 
 def _sq_norms(x: Array) -> Array:
@@ -126,14 +130,18 @@ def _error_norm(K2: Array, h: float, scale: Array) -> float:
     product that BLAS sums in another order. A batch's ** 2 acts on an array,
     which multiplies instead of calling pow, so a batch of one can differ
     from one state in the last bit of a square."""
-    err5 = np.dot(_dop853.E5, K2).reshape(scale.shape) / scale
-    err3 = np.dot(_dop853.E3, K2).reshape(scale.shape) / scale
+    err5, err3 = _E5_DOT(K2), _E3_DOT(K2)
     # in both branches a state whose estimates both vanish has norm 0, not 0 / 0
     if scale.ndim == 1:
+        err5 /= scale
+        err3 /= scale
         err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
         err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
         denom = max(err5_norm_2 + 0.01 * err3_norm_2, _SMALLEST)
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+    # a batch's estimates (d n,) take the scale's shape (d, n)
+    err5 = err5.reshape(scale.shape) / scale
+    err3 = err3.reshape(scale.shape) / scale
     err5_norm_2 = np.sqrt(_sq_norms(err5)) ** 2
     err3_norm_2 = np.sqrt(_sq_norms(err3)) ** 2
     denom = np.maximum(err5_norm_2 + 0.01 * err3_norm_2, _SMALLEST)
@@ -159,41 +167,50 @@ def _dop853_steps(
     land exactly on each of stops (ordered from t0 towards t1), and a step so
     shortened keeps the proposed size for the next one. After each accepted
     step the state is replaced by project(y_new) when project is given, and
-    its rate re-evaluated. stats, when given, is kept up to date with
-    n_accepted, n_rejected, nfev (every rhs call) and the smallest and
-    largest accepted |step|, h_min and h_max. A step below 10 spacings of t
-    or more than _MAX_STEPS attempts raise IntegrationError labelled with
-    what, carrying the last accepted time. A t1 that is not finite, or a tol
-    or atol that is not finite and positive, raises ValueError before any
-    step. A t1 equal to t0 then yields nothing and calls rhs never.
+    its rate re-evaluated. stats, when given, holds n_accepted, n_rejected,
+    nfev (every rhs call) and the smallest and largest accepted |step|, h_min
+    and h_max, as of the last yield, or of the end of the run however it
+    ends. A step below 10 spacings of t or more than _MAX_STEPS attempts raise
+    IntegrationError labelled with what, carrying the last accepted time. A
+    t1 that is not finite, or a tol or atol that is not finite and positive,
+    raises ValueError before any step. A t1 equal to t0 then yields nothing
+    and calls rhs never.
 
     One loop body serves both shapes; its leaves, picked once by y0.ndim,
-    each round as scipy does. One state runs on Python floats: y, the stage
+    each round as scipy does, and each stage is one call of the stage leaf,
+    the rate at y + h dy. One state runs on Python floats: y, the stage
     states and y_new are lists, rhs takes a list and returns d floats, and
-    y_new becomes an array once per accepted step. Stage sums stay
-    np.dot(row of A, earlier stages), scipy's gemv, whose fused multiply-adds
-    a Python sum would not repeat; float * and + round as numpy's elementwise
-    ones, and the scale keeps np.maximum's NaN. Times, steps and factors are
-    Python floats, whose ** calls scipy's pow, and so is the error norm.
+    project takes and returns an array. Stage sums stay np.dot of a row of A
+    and the earlier stages, scipy's gemv, whose fused multiply-adds a Python
+    sum would not repeat; float * and + round as numpy's elementwise ones,
+    and the scale keeps np.maximum's NaN. Times, steps and factors are Python
+    floats, whose ** calls scipy's pow, and so is the error norm.
     """
     if not np.isfinite(t1):
         raise ValueError(f"{what}: end time must be finite, got {t1}")
     for name, value in (("tol", tol), ("atol", atol)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{what}: {name} must be finite and positive, got {value}")
-    counts = {"n_accepted": 0, "n_rejected": 0, "nfev": 0, "h_min": math.inf, "h_max": 0.0}
-    if stats is not None:
-        stats.update(counts)
-        counts = stats
+    n_accepted = n_rejected = nfev = 0
+    h_min, h_max = math.inf, 0.0
+
+    def flush():
+        if stats is not None:
+            stats.update(n_accepted=n_accepted, n_rejected=n_rejected, nfev=nfev,
+                         h_min=h_min, h_max=h_max)
+
+    flush()
     if t1 == t0:
         return
     direction = 1.0 if t1 > t0 else -1.0
     stops = [float(s) for s in stops if direction * (t1 - s) > 0.0] + [float(t1)]
     n_stages = _dop853.N_STAGES
-    # the leaves: the state y + h dy and atol + max(|y|, |y_new|) tol
+    # the leaves: the rate at the stage state y + h dy, the state y + h dy
+    # itself, and atol + max(|y|, |y_new|) tol
     shape = y0.shape
     if y0.ndim == 1:
         floats, array = np.ndarray.tolist, np.array
+        stage = lambda t, y, dy, h: rhs(t, [yi + di * h for yi, di in zip(y, dy.tolist())])
         advance = lambda y, dy, h: [yi + di * h for yi, di in zip(y, dy.tolist())]
         error_scale = lambda y, y_new: np.array([
             atol + (u if u > v or u != u else v) * tol
@@ -201,81 +218,87 @@ def _dop853_steps(
         ])
     else:
         floats = array = np.asarray  # the array itself
+        stage = lambda t, y, dy, h: rhs(t, y + dy.reshape(shape) * h)
         advance = lambda y, dy, h: y + dy.reshape(shape) * h
         error_scale = lambda y, y_new: atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
     # K[0] holds the rate at the state each step starts from
     K = np.empty((n_stages + 1,) + shape)
     K2 = K.reshape(n_stages + 1, -1)  # the stages as rows, for the combinations
-    # each stage's row of A, node, earlier stages and own slot, built once
-    stages = [(a, c, K2[:s], K[s]) for s, (a, c) in enumerate(_STAGES, start=1)]
-    K[0] = rhs(t0, floats(y0))
-    h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, K[0], t1, tol, atol)
-    counts["nfev"] += 2  # K[0] and the initial step's probe
-    t, y = float(t0), floats(y0)
-    i_stop = 0
-    attempts = 0
-    while direction * (t - t1) < 0.0:
-        while direction * (stops[i_stop] - t) <= 0.0:
-            i_stop += 1
-        stop = stops[i_stop]
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(
-                    f"{what} failed at t = {t:.6g}: required step size is less "
-                    "than spacing between numbers", t_last=t,
-                )
-            if attempts == _MAX_STEPS:
-                raise IntegrationError(
-                    f"{what} exceeded {_MAX_STEPS} steps at t = {t:.6g}", t_last=t
-                )
-            attempts += 1
-            t_new = t + h_abs * direction
-            clamped = direction * (t_new - stop) > 0.0
-            if clamped:
-                t_new = stop
-            h = t_new - t
-            # each stage state is y + h sum_j a_j K[j], rounded as scipy rounds it:
-            # np.dot of a row and the stages is the gemv of scipy's np.dot
-            for a, c, K_before, K_s in stages:
-                K_s[...] = rhs(t + c * h, advance(y, np.dot(a, K_before), h))
-            y_new = advance(y, np.dot(_dop853.B, K2[:-1]), h)
-            K[-1] = rhs(t + h, y_new)
-            counts["nfev"] += n_stages
-            scale = error_scale(y, y_new)
-            # Python floats from here on: the same doubles as numpy scalars
-            error_norm = _error_norm(K2, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
+    # each stage's node, bound dot of its row of A, earlier stages and own
+    # slot, built once
+    stages = [(c, dot, K2[:s], K[s]) for s, (c, dot) in enumerate(_STAGES, start=1)]
+    b_dot, K_body = _dop853.B.dot, K2[:-1]
+    try:
+        K[0] = rhs(t0, floats(y0))
+        h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, K[0], t1, tol, atol)
+        nfev = 2  # K[0] and the initial step's probe
+        t, y = float(t0), floats(y0)
+        i_stop = 0
+        attempts = 0
+        while direction * (t - t1) < 0.0:
+            while direction * (stops[i_stop] - t) <= 0.0:
+                i_stop += 1
+            stop = stops[i_stop]
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(
+                        f"{what} failed at t = {t:.6g}: required step size is less "
+                        "than spacing between numbers", t_last=t,
+                    )
+                if attempts == _MAX_STEPS:
+                    raise IntegrationError(
+                        f"{what} exceeded {_MAX_STEPS} steps at t = {t:.6g}", t_last=t
+                    )
+                attempts += 1
+                t_new = t + h_abs * direction
+                clamped = direction * (t_new - stop) > 0.0
+                if clamped:
+                    t_new = stop
+                h = t_new - t
+                # each stage state is y + h sum_j a_j K[j], rounded as scipy
+                # rounds it: the row's dot with the stages is scipy's gemv
+                for c, dot, K_before, K_s in stages:
+                    K_s[...] = stage(t + c * h, y, dot(K_before), h)
+                y_new = advance(y, b_dot(K_body), h)
+                K[-1] = rhs(t + h, y_new)
+                nfev += n_stages
+                # Python floats from here on: the same doubles as numpy scalars
+                error_norm = _error_norm(K2, h, error_scale(y, y_new))
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    if not clamped:
+                        h_abs = abs(h) * factor
+                    break
+                if math.isfinite(error_norm):
+                    factor = max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                if not clamped:
-                    h_abs = abs(h) * factor
-                break
-            if math.isfinite(error_norm):
-                factor = max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    factor = _MIN_FACTOR
+                h_abs = abs(h) * factor
+                rejected = True
+                n_rejected += 1
+            n_accepted += 1
+            h_min, h_max = min(h_min, abs(h)), max(h_max, abs(h))
+            y_next = y_new
+            if project is not None:
+                y_next = floats(np.asarray(project(array(y_new)), dtype=float))
+            flush()
+            yield _Step(t, t_new, y, y_new, K, y_next)
+            t, y = t_new, y_next
+            if project is None:
+                K[0] = K[-1]
             else:
-                factor = _MIN_FACTOR
-            h_abs = abs(h) * factor
-            rejected = True
-            counts["n_rejected"] += 1
-        counts["n_accepted"] += 1
-        counts["h_min"] = min(counts["h_min"], abs(h))
-        counts["h_max"] = max(counts["h_max"], abs(h))
-        y_new = array(y_new)
-        y_next = y_new if project is None else np.asarray(project(y_new), dtype=float)
-        yield _Step(t, t_new, array(y), y_new, K, y_next)
-        t, y = t_new, floats(y_next)
-        if project is None:
-            K[0] = K[-1]
-        else:
-            K[0] = rhs(t, y)
-            counts["nfev"] += 1
+                K[0] = rhs(t, y)
+                nfev += 1
+    finally:
+        flush()
 
 
 def _basis(theta):
@@ -283,23 +306,28 @@ def _basis(theta):
     theta, theta(1 - theta), theta^2(1 - theta), ... by alternate factors,
     multiplied in the same order for a float and for an array."""
     u = 1.0 - theta
-    p = [theta]
-    for j in range(1, _dop853.INTERPOLATOR_POWER):
-        p.append(p[-1] * (u if j % 2 else theta))
-    return p
+    p1 = theta * u
+    p2 = p1 * theta
+    p3 = p2 * u
+    p4 = p3 * theta
+    p5 = p4 * u
+    return theta, p1, p2, p3, p4, p5, p5 * theta
 
 
 class DenseOutput:
     """Piecewise DOP853 interpolant over the accepted steps of one run.
 
-    On the step from t_old to t_old + h it gives y_old + sum_j p_j(theta) F_j,
-    theta = (t - t_old) / h, with the basis of _basis and the step's
-    (7, d) coefficients F; this is the polynomial scipy's DOP853 builds
-    for each step's dense output, written as one sum. The call contract is
-    that of scipy's piecewise dense solution: a scalar t gives shape (d,) and
-    an array of m times gives (d, m); at a step boundary the step that ends
-    there in the direction of integration is used, and beyond either end the
-    end step extrapolates.
+    On the step from t_old to t_old + h it gives
+    y_old + (p_0 F_0 + p_1 F_1 + ... + p_6 F_6), theta = (t - t_old) / h,
+    with the basis p_j(theta) of _basis and the step's (7, d) coefficients F;
+    this is the polynomial scipy's DOP853 builds for each step's dense
+    output, written as one sum. Both branches form it from elementwise
+    products and sums in that order, so a scalar time and the same time in
+    an array give the same bits. The call contract is that of scipy's
+    piecewise dense solution: a scalar t gives shape (d,) and an array of m
+    times gives (d, m); at a step boundary the step that ends there in the
+    direction of integration is used, and beyond either end the end step
+    extrapolates.
     """
 
     def __init__(self, t_old: Array, t_new: Array, y_old: Array, F: Array):
@@ -314,24 +342,41 @@ class DenseOutput:
         self._h = t_new - t_old
         self._y_old = np.ascontiguousarray(y_old)
         self._F = np.ascontiguousarray(F)
-        self._breaks_list = self._breaks.tolist()
-        self._t_old_list = self._t_old.tolist()
-        self._h_list = self._h.tolist()
+        self._find = bisect_left if self._forward else bisect_right
+        # per step t_old, h, y_old and each component's 7 coefficients, as
+        # Python floats for _at, and the breaks as a list; built on first use
+        self._rows = self._breaks_list = None
+
+    def _at(self, t: float) -> list:
+        """The interpolant at one float time t as d floats: the sum of
+        __call__, on Python floats."""
+        if self._rows is None:
+            self._breaks_list = self._breaks.tolist()
+            self._rows = list(zip(
+                self._t_old.tolist(), self._h.tolist(), self._y_old.tolist(),
+                self._F.transpose(0, 2, 1).tolist(),
+            ))
+        # searching breaks[1:n] clamps k to the first and last step
+        k = self._find(self._breaks_list, t, 1, len(self._rows)) - 1
+        t_old, h, y_old, F = self._rows[k]
+        p0, p1, p2, p3, p4, p5, p6 = _basis((t - t_old) / h)
+        return [
+            y + (p0 * f0 + p1 * f1 + p2 * f2 + p3 * f3 + p4 * f4 + p5 * f5 + p6 * f6)
+            for y, (f0, f1, f2, f3, f4, f5, f6) in zip(y_old, F)
+        ]
 
     def __call__(self, t):
         if type(t) is float or np.ndim(t) == 0:
-            t = float(t)
-            find = bisect_left if self._forward else bisect_right
-            k = min(max(find(self._breaks_list, t) - 1, 0), len(self._h_list) - 1)
-            theta = (t - self._t_old_list[k]) / self._h_list[k]
-            return self._y_old[k] + np.dot(_basis(theta), self._F[k])
+            return np.array(self._at(float(t)))
         t = np.asarray(t, dtype=float)
         side = "left" if self._forward else "right"
         k = np.clip(np.searchsorted(self._breaks, t, side) - 1, 0, self._h.size - 1)
-        theta = (t - self._t_old[k]) / self._h[k]
-        P = np.stack(_basis(theta), axis=-1)
-        # matmul of each (1, 7) row, as in the scalar branch, keeps both bit-equal
-        return (self._y_old[k] + (P[:, None, :] @ self._F[k])[:, 0, :]).T
+        F = self._F[k]
+        P = _basis((t - self._t_old[k]) / self._h[k])
+        total = P[0][:, None] * F[:, 0]
+        for j in range(1, len(P)):
+            total = total + P[j][:, None] * F[:, j]
+        return (self._y_old[k] + total).T
 
 
 def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> DenseOutput:
@@ -384,12 +429,14 @@ class Trajectory:
 @dataclass(frozen=True)
 class AttitudeTrajectory:
     """Reconstructed carrier attitude (unit quaternions, scalar first) and
-    rotor angle along a trajectory."""
+    rotor angle along a trajectory. integrator_stats reports the attitude
+    integration as Trajectory.integrator_stats reports its own."""
 
     times: Array
     rotations: Array
     theta: Array
     theta_dot: Array
+    integrator_stats: dict
 
 
 @dataclass(frozen=True)
@@ -519,13 +566,21 @@ def simulate(
     record_times: Optional[Sequence[float]] = None,
     project_energy: bool = False,
 ) -> Trajectory:
-    """Integrate the reduced system with energy-drift diagnostics attached."""
+    """Integrate the reduced system with energy-drift diagnostics attached.
+    project_energy rescales the state onto the initial energy ellipsoid after
+    each step; an omega0 of energy 0 has none, which is a ValueError before
+    any step."""
     mats = matrices(params)
     field = _vector_field(mats)
     e_fn = lambda w: _energy(mats.Ka, w)
     project = None
     if project_energy:
         eta0 = float(e_fn(omega0))
+        if eta0 == 0.0:
+            raise ValueError(
+                f"omega0 = {np.asarray(omega0, dtype=float).tolist()} has energy 0, "
+                "which cannot be projected onto"
+            )
 
         def project(w: Array) -> Array:
             return w * np.sqrt(eta0 / float(e_fn(w)))
@@ -619,7 +674,8 @@ def flow_map_with_jacobian(
         "variational integration",
     ):
         y = step.y
-    return y[:dim].copy(), y[dim:].reshape(dim, dim).copy()
+    y = np.array(y)
+    return y[:dim], y[dim:].reshape(dim, dim)
 
 
 #: Simpson nodes for the divergence quadrature of liouville_residual
@@ -699,7 +755,9 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     the first stored time.
     The rhs reads Omega from traj.dense and takes one time and state or a
     batch of them, so the attitude's own dense output, which samples it at
-    traj.times, is built like integrate's, after stepping.
+    traj.times, is built like integrate's, after stepping. integrator_stats
+    counts as integrate's do: nfev includes the rate re-evaluated after each
+    renormalization and the 3 dense-output stages of each accepted step.
     """
     if traj.dense is None:
         raise ValueError("reconstruction needs a trajectory with dense output")
@@ -710,11 +768,11 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
 
     def rhs(t, y):
         # t float, y a list of 5 floats -> a list of 5 floats, or t (n,),
-        # y (n, 5) -> (n, 5). One state runs on Python floats, whose products
-        # and sums round as the batch's elementwise ones do
-        w = dense_omega(t)
+        # y (n, 5) -> (n, 5). One state reads Omega from the dense output's
+        # float lookup, whose products and sums round as the batch's
+        # elementwise ones do, and so do _hamilton's on floats
         one = type(y) is list
-        (w0, w1, w2), q = (w.tolist(), y[:4]) if one else (w, y.T[:4])
+        (w0, w1, w2), q = (dense_omega._at(t), y[:4]) if one else (dense_omega(t), y.T[:4])
         rate = [0.5 * c for c in _hamilton(q, (0.0, w0, w1, w2))]
         rate.append(-(a1 * w0 + a2 * w1 + w2))
         return rate if one else np.array(rate).T
@@ -725,13 +783,16 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     def renormalize(y: Array) -> Array:
         return np.concatenate([y[:4] / np.linalg.norm(y[:4]), y[4:]])
 
+    stats: dict = {}
     steps = [
         (step.t_old, step.t, step.y_old, step.y_new, step.K.copy())
         for step in _dop853_steps(
-            rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration", project=renormalize
+            rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration",
+            project=renormalize, stats=stats,
         )
     ]
     dense_att = _dop853_interpolant(rhs, steps)
+    stats["nfev"] += 3 * stats["n_accepted"]
     samples = dense_att(traj.times).T
     quats = samples[:, :4]
     quats = quats / np.linalg.norm(quats, axis=1, keepdims=True)
@@ -744,6 +805,7 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
         rotations=quats,
         theta=samples[:, 4],
         theta_dot=theta_dot,
+        integrator_stats=stats,
     )
 
 

@@ -204,6 +204,33 @@ class TestSimulate:
         h = np.diff([row[0] for row in doc["rows"]])
         assert (stats["h_min"], stats["h_max"]) == (h.min(), h.max())
 
+    def test_reconstruct_reports_attitude_stats(self, params_file, tmp_path):
+        out = tmp_path / "s.json"
+        main(["simulate", "--params", params_file("p", 1.0, 0.0),
+              "--omega0", "0.3,-0.4,0.5", "--T", "100", "--reconstruct",
+              "--format", "json", "--out", str(out)])
+        stats = _load_report(out)["config"]["attitude_integrator_stats"]
+        assert (stats["n_accepted"], stats["n_rejected"], stats["nfev"]) == (179, 28, 3202)
+        assert 0.0 < stats["h_min"] <= stats["h_max"]
+        # the CSV header keeps no counters, the attitude's included
+        csv = tmp_path / "s.csv"
+        main(["simulate", "--params", params_file("p", 1.0, 0.0),
+              "--omega0", "0.3,-0.4,0.5", "--T", "5", "--reconstruct", "--out", str(csv)])
+        keys = [l[2:].split(" = ")[0] for l in csv.read_text().splitlines()
+                if l.startswith("#")]
+        assert not any("stats" in k for k in keys) and "energy_drift" in keys
+
+    def test_zero_energy_projection_is_named(self, params_file, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        rc = main(["simulate", "--params", params_file("p", 1.0, 1.0),
+                   "--omega0", "0,0,0", "--T", "5", "--project-energy",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: omega0") and "energy 0" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_csv_header_has_no_counters(self, params_file, tmp_path):
         out = tmp_path / "s.csv"
         main(["simulate", "--params", params_file("p", 1.0, 0.0),

@@ -170,6 +170,17 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=r"x0 must have shape \(3,\)"):
             flow_map_with_jacobian(f, np.zeros(2), 5.0)
 
+    def test_zero_energy_projection_rejected_before_any_step(self, pstar, monkeypatch):
+        # the rest state integrates, but has no energy level to project onto
+        assert not simulate(pstar, np.zeros(3), 5.0).states.any()
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flow, "_dop853_steps", no_steps)
+        with pytest.raises(ValueError, match="omega0 .* has energy 0, which cannot be projected"):
+            simulate(pstar, np.zeros(3), 5.0, project_energy=True)
+
     def test_stats_account_for_all_evaluations(self, pstar):
         traj = simulate(pstar, np.array([1.0, 1.0, 1.0]), 10.0)
         s = traj.integrator_stats
@@ -336,10 +347,18 @@ class TestDenseOutput:
         got = traj.dense(ts)
         assert got.shape == want.shape == (3, 1000)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # both branches run one sum, so a scalar time gives the bits of the
+        # same time in an array: at every step boundary, one spacing either
+        # side of it, and extrapolated beyond both ends
+        near = np.concatenate([np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
+        far = np.array([lo - 0.5 * (hi - lo), lo - pad, hi + pad, hi + 0.5 * (hi - lo)])
+        ts = np.concatenate([ts, near, far])
+        got = traj.dense(ts)
         for j, t in enumerate(ts):
             y = traj.dense(t)
             assert y.shape == (3,)
-            assert np.all(np.abs(y - got[:, j]) <= 2.0 * np.spacing(np.abs(got[:, j])))
+            np.testing.assert_array_equal(_bits(y), _bits(got[:, j]))
+            np.testing.assert_array_equal(_bits(traj.dense(float(t))), _bits(y))
 
     @pytest.mark.parametrize("which", ["pstar", "pstar_full"])
     def test_reconstruct_matches_scipy_route(self, which, request):
@@ -380,6 +399,16 @@ class TestDenseOutput:
         assert back.integrator_stats["h_min"] == np.abs(h).min() > 0.0
         assert back.integrator_stats["h_max"] == np.abs(h).max()
 
+    def test_attitude_counters_pinned(self, pstar):
+        # reconstruct of the run above counts as integrate does: 12 rates per
+        # attempt after the start's 2, one after each renormalization, and 3
+        # dense-output stages per accepted step
+        traj = simulate(pstar, np.array([0.3, -0.4, 0.5]), 100.0, tol=1e-10)
+        s = reconstruct(pstar, traj).integrator_stats
+        assert (s["n_accepted"], s["n_rejected"], s["nfev"]) == (179, 28, 3202)
+        assert s["nfev"] == 2 + 12 * (179 + 28) + 179 + 3 * 179
+        assert 0.0 < s["h_min"] <= s["h_max"] <= 100.0
+
 
 class TestFloatPath:
     """One state steps on Python floats through the spec's point slot; a
@@ -413,6 +442,21 @@ class TestFloatPath:
                            record_times=kw.get("record_times"))
             np.testing.assert_array_equal(_bits(sim.states), _bits(full.states))
             assert sim.integrator_stats == full.integrator_stats
+
+    def test_stats_current_at_every_yield_and_after_an_error(self):
+        # x' = x^2 from 1 blows up at t = 1; stats follow every accepted step
+        # and hold the whole run once the error is raised
+        stats, seen = {}, 0
+        with pytest.raises(IntegrationError, match="step size"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in flow._dop853_steps(lambda t, y: [y[0] * y[0]], 0.0,
+                                               np.array([1.0]), 2.0, 1e-10, 1e-12,
+                                               "blow-up", stats=stats):
+                    seen += 1
+                    assert stats["n_accepted"] == seen
+                    assert stats["h_max"] >= step.t - step.t_old >= stats["h_min"]
+        assert stats["n_accepted"] == seen and stats["n_rejected"] > 0
+        assert stats["nfev"] == 2 + 12 * (stats["n_accepted"] + stats["n_rejected"])
 
     def test_mid_run_blowup_is_the_same_error(self):
         # x' = x^2 from 1 blows up at t = 1 on both paths
