@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import SuslovParams, energy, load_params, vector_field
 from .equilibria import classify
-from .fields import example2d, example2d_density, DensitySpec
+from .fields import _check_sample_count, example2d, example2d_density, DensitySpec
 from .flow import (
     IntegrationError,
     measure_transport_check,
@@ -27,7 +27,6 @@ from .flow import (
     simulate,
 )
 from .measures import (
-    _check_sample_count,
     _check_tol,
     classA_measure_exists,
     density_params,

@@ -12,7 +12,9 @@ lambda_i on its diagonal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -84,26 +86,40 @@ def validate(
 ) -> SuslovParams:
     """Normalize raw inputs into a SuslovParams instance.
 
-    The constraint axis is homogeneous, so any a3 != 0 rescales to a3 = 1.
-    a3 = 0 is rejected: without a rotor component along the axis the model
-    degenerates to the classical constrained rigid body, not covered here.
+    The constraint axis is homogeneous, so any finite a3 != 0 rescales to
+    a3 = 1. a3 = 0 is rejected: without a rotor component along the axis the
+    model degenerates to the classical constrained rigid body, not covered
+    here. An a3 that is not finite, or one so small that a1/a3 or a2/a3
+    overflows, is a ValueError naming it, not a rescaling to a1 = a2 = 0.
     """
-    if a3 == 0.0:
-        raise ValueError("a3 = 0 not supported: constraint axis must have an axial component")
+    a3 = float(a3)
+    if not (math.isfinite(a3) and a3 != 0.0):
+        raise ValueError(
+            f"a3 must be finite and nonzero (the constraint axis needs an axial "
+            f"component), got {a3}"
+        )
+    a1, a2 = float(a1), float(a2)
+    for name, value in (("a1", a1), ("a2", a2)):
+        if not math.isfinite(value / a3):
+            raise ValueError(f"{name}/a3 = {value!r}/{a3!r} is not finite")
     return SuslovParams(
         I1=float(I1), I2=float(I2), I3=float(I3),
         K1=float(K1), K3=float(K3),
-        a1=float(a1) / float(a3), a2=float(a2) / float(a3),
+        a1=a1 / a3, a2=a2 / a3,
     )
 
 
 def load_params(source: str | Mapping[str, float]) -> SuslovParams:
-    """Load parameters from a flat JSON document (path or parsed mapping)."""
+    """Load parameters from a flat JSON document (path or parsed mapping).
+    A document that is not an object, or a value that is not a number (a
+    boolean included), is a ValueError."""
     if isinstance(source, Mapping):
         doc = dict(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"parameters must be a JSON object, got {json.dumps(doc)[:60]}")
     known = {"I1", "I2", "I3", "K1", "K3", "a1", "a2", "a3"}
     unknown = set(doc) - known
     if unknown:
@@ -111,6 +127,11 @@ def load_params(source: str | Mapping[str, float]) -> SuslovParams:
     missing = {"I1", "I2", "I3", "K1", "K3"} - set(doc)
     if missing:
         raise ValueError(f"missing parameter keys: {sorted(missing)}")
+    not_numbers = sorted(
+        k for k, v in doc.items() if isinstance(v, bool) or not isinstance(v, Real)
+    )
+    if not_numbers:
+        raise ValueError(f"parameter values must be numbers: {not_numbers}")
     return validate(**{k: float(v) for k, v in doc.items()})
 
 

@@ -61,6 +61,12 @@ def seeded_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _check_sample_count(count: int, what: str = "sample count") -> None:
+    """Raise ValueError, naming what, unless count is at least 1."""
+    if count < 1:
+        raise ValueError(f"{what} must be at least 1, got {count}")
+
+
 def fd_step(x: Array) -> Array:
     """Per-coordinate central-difference step h = cbrt(eps) * max(1, |x_i|)."""
     return FD_STEP_UNIT * np.maximum(1.0, np.abs(x))

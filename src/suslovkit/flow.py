@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -16,7 +16,10 @@ import numpy as np
 
 from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
 from .equilibria import _check_energy_level, equilibrium_directions, scale_to_ellipsoid
-from .fields import Array, DensitySpec, VectorFieldSpec, divergence, seeded_generator
+from .fields import (
+    Array, DensitySpec, VectorFieldSpec, _check_sample_count, _trace, divergence,
+    fd_jacobian, seeded_generator,
+)
 
 
 class IntegrationError(RuntimeError):
@@ -327,22 +330,15 @@ class DenseOutput:
     piecewise dense solution: a scalar t gives shape (d,) and an array of m
     times gives (d, m); at a step boundary the step that ends there in the
     direction of integration is used, and beyond either end the end step
-    extrapolates.
+    extrapolates. The steps stay in run order, and a time t is looked up in
+    signed time: s t among the increasing breaks s t_0, s t_1, ..., with
+    s = +-1 the direction of the run.
     """
 
     def __init__(self, t_old: Array, t_new: Array, y_old: Array, F: Array):
-        # steps are stored by increasing time whatever the direction of the run
-        self._forward = bool(t_new[0] > t_old[0])
-        if self._forward:
-            self._breaks = np.concatenate([t_old[:1], t_new])
-        else:
-            t_old, t_new, y_old, F = t_old[::-1], t_new[::-1], y_old[::-1], F[::-1]
-            self._breaks = np.concatenate([t_new[:1], t_old])
-        self._t_old = np.ascontiguousarray(t_old)
-        self._h = t_new - t_old
-        self._y_old = np.ascontiguousarray(y_old)
-        self._F = np.ascontiguousarray(F)
-        self._find = bisect_left if self._forward else bisect_right
+        self._sign = 1.0 if t_new[0] > t_old[0] else -1.0
+        self._breaks = self._sign * np.concatenate([t_old[:1], t_new])
+        self._t_old, self._h, self._y_old, self._F = t_old, t_new - t_old, y_old, F
         # per step t_old, h, y_old and each component's 7 coefficients, as
         # Python floats for _at, and the breaks as a list; built on first use
         self._rows = self._breaks_list = None
@@ -357,7 +353,7 @@ class DenseOutput:
                 self._F.transpose(0, 2, 1).tolist(),
             ))
         # searching breaks[1:n] clamps k to the first and last step
-        k = self._find(self._breaks_list, t, 1, len(self._rows)) - 1
+        k = bisect_left(self._breaks_list, self._sign * t, 1, len(self._rows)) - 1
         t_old, h, y_old, F = self._rows[k]
         p0, p1, p2, p3, p4, p5, p6 = _basis((t - t_old) / h)
         return [
@@ -369,8 +365,7 @@ class DenseOutput:
         if type(t) is float or np.ndim(t) == 0:
             return np.array(self._at(float(t)))
         t = np.asarray(t, dtype=float)
-        side = "left" if self._forward else "right"
-        k = np.clip(np.searchsorted(self._breaks, t, side) - 1, 0, self._h.size - 1)
+        k = np.clip(np.searchsorted(self._breaks, self._sign * t) - 1, 0, self._h.size - 1)
         F = self._F[k]
         P = _basis((t - self._t_old[k]) / self._h[k])
         total = P[0][:, None] * F[:, 0]
@@ -612,11 +607,12 @@ def integrate_batch(
     recorded (time, states) snapshots. stats, when given, is filled as
     integrate's integrator_stats: n_accepted, n_rejected, nfev (each a call
     on the whole batch) and the smallest and largest accepted |step|, h_min
-    and h_max.
+    and h_max. A batch of no states is a ValueError.
     """
     Y = np.asarray(x0, dtype=float)
     if Y.ndim == 1:
         Y = Y[None, :]
+    _check_sample_count(len(Y), "number of states")
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
     # the bounds are asserted, not their breach, so a NaN time fails them;
@@ -640,25 +636,6 @@ def integrate_batch(
     return np.array(Z.T), recorded  # at T = 0, Z.T may be x0's memory
 
 
-def _augmented_field(field: VectorFieldSpec) -> VectorFieldSpec:
-    """Couple the field with its variational equations dD/dt = J(x) D."""
-    if field.jac is None:
-        raise ValueError("flow-map Jacobians require an analytic field Jacobian")
-    dim = field.dim
-
-    def evaluate(y: Array) -> Array:
-        y = np.asarray(y, dtype=float)
-        x = y[..., :dim]
-        D = y[..., dim:].reshape(y.shape[:-1] + (dim, dim))
-        dx = field.eval(x)
-        dD = field.jac(x) @ D
-        return np.concatenate(
-            [dx, dD.reshape(y.shape[:-1] + (dim * dim,))], axis=-1
-        )
-
-    return VectorFieldSpec(dim=dim + dim * dim, eval=evaluate, jac=None)
-
-
 def flow_map_with_jacobian(
     field: VectorFieldSpec, x0: Array, t: float
 ) -> tuple[Array, Array]:
@@ -666,13 +643,19 @@ def flow_map_with_jacobian(
     jointly from the variational equations with D(0) = identity. An x0 that
     is not finite is a ValueError."""
     x0 = _checked_start(field, x0)
+    if field.jac is None:
+        raise ValueError("flow-map Jacobians require an analytic field Jacobian")
     dim = field.dim
-    aug = _augmented_field(field)
+
+    def rhs(s, z):
+        # the field and its variational equations dD/dt = J(x) D, at the
+        # state z = (x, D by rows) as a list
+        y = np.array(z)
+        x, D = y[:dim], y[dim:].reshape(dim, dim)
+        return np.concatenate([field.eval(x), (field.jac(x) @ D).ravel()])
+
     y = np.concatenate([x0, np.eye(dim).ravel()])
-    for step in _dop853_steps(
-        lambda s, z: aug.eval(np.array(z)), 0.0, y, t, _TOL, _ATOL,
-        "variational integration",
-    ):
+    for step in _dop853_steps(rhs, 0.0, y, t, _TOL, _ATOL, "variational integration"):
         y = step.y
     y = np.array(y)
     return y[:dim], y[dim:].reshape(dim, dim)
@@ -700,8 +683,7 @@ def liouville_residual(params: SuslovParams, omega0: Array, t: float) -> dict:
 
     traj = integrate(field, omega0, t, tol=_TOL, atol=_ATOL)
     ts = np.linspace(0.0, t, _LIOUVILLE_QUAD_POINTS)
-    eval_only = VectorFieldSpec(dim=field.dim, eval=field.eval)
-    div_vals = divergence(eval_only, traj.dense(ts).T)
+    div_vals = _trace(fd_jacobian(field.eval, traj.dense(ts).T))
     quad = float(simpson(div_vals, x=ts))
     return {
         "det_sign": float(sign),
@@ -750,14 +732,17 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
 
         dg/dt = g hat(Omega),   dtheta/dt = -<a, Omega>,
 
-    integrating quaternions against the dense angular-velocity history with
-    per-step renormalization, from the identity attitude and theta = 0 at
-    the first stored time.
+    integrating quaternions against the dense angular-velocity history,
+    from the identity attitude and theta = 0 at the first stored time.
+    q' = q (0, Omega) / 2 is linear in q with a pure-quaternion generator,
+    so |q| is conserved and scaling q commutes with the flow and with every
+    step; the steps keep q as integrated, and only the sampled rotations
+    are scaled to unit norm.
     The rhs reads Omega from traj.dense and takes one time and state or a
     batch of them, so the attitude's own dense output, which samples it at
     traj.times, is built like integrate's, after stepping. integrator_stats
-    counts as integrate's do: nfev includes the rate re-evaluated after each
-    renormalization and the 3 dense-output stages of each accepted step.
+    counts as integrate's do: nfev includes the 3 dense-output stages of
+    each accepted step.
     """
     if traj.dense is None:
         raise ValueError("reconstruction needs a trajectory with dense output")
@@ -779,16 +764,11 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-
-    def renormalize(y: Array) -> Array:
-        return np.concatenate([y[:4] / np.linalg.norm(y[:4]), y[4:]])
-
     stats: dict = {}
     steps = [
         (step.t_old, step.t, step.y_old, step.y_new, step.K.copy())
         for step in _dop853_steps(
-            rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration",
-            project=renormalize, stats=stats,
+            rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration", stats=stats
         )
     ]
     dense_att = _dop853_interpolant(rhs, steps)
@@ -814,8 +794,10 @@ def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) ->
 
     Standard Gaussians g are normalized and mapped through L^{-T} (Ka = L L^T),
     which lands exactly on the ellipsoid; the counter-based generator keeps the
-    draw reproducible and independent of any worker partitioning.
+    draw reproducible and independent of any worker partitioning. count must
+    be at least 1.
     """
+    _check_sample_count(count, "count")
     _check_energy_level(eta)
     L = np.linalg.cholesky(matrices(params).Ka)
     rng = seeded_generator(seed)
@@ -883,8 +865,15 @@ def detect_attractor(
     oscillation envelope: the peak distance over the late checkpoints must
     not exceed the peak over the early ones by more than the integration
     tolerance tol, below which a converged sample's distance is noise.  Slow
-    transit near a saddle shows a growing envelope and fails.
+    transit near a saddle shows a growing envelope and fails. samples must
+    be at least 1, T finite and nonzero and capture_radius positive, or
+    ValueError is raised before any draw.
     """
+    _check_sample_count(samples, "samples")
+    if not (np.isfinite(T) and T != 0.0):
+        raise ValueError(f"T must be finite and nonzero, got {T}")
+    if not capture_radius > 0.0:
+        raise ValueError(f"capture_radius must be positive, got {capture_radius}")
     labels = tuple(lbl for lbl, _ in candidates)
     points = np.array([np.asarray(p, dtype=float) for _, p in candidates])
     x0 = np.asarray(sampler(samples, seed), dtype=float)

@@ -23,6 +23,7 @@ from .fields import (
     DensitySpec,
     FD_STEP_UNIT,
     VectorFieldSpec,
+    _check_sample_count,
     _jacobian,
     _trace,
     divergence,
@@ -204,12 +205,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _check_sample_count(count: int) -> None:
-    """Raise ValueError unless count is at least 1."""
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
-
-
 def _fd_exclusion(exponents: tuple[float, float], tol: float) -> float:
     """Exclusion radius for a density with these two factor exponents, at a
     finite positive tolerance tol."""
@@ -354,6 +349,7 @@ def plane_defect_sweep(
 ) -> dict:
     """Check flow invariance of pi+- at on-plane sample points: the defect
     |X1 - xi X3| must stay below tol * |X|."""
+    _check_sample_count(n_points, "n_points")
     dp = density_params(params)
     field = vector_field(params)
     rng = seeded_generator(seed)
@@ -399,13 +395,15 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     The divergence is the field's covector slot (fields.divergence).
     It is linear in Omega, so div X = <c, Omega> with c_k = div X(e_k), and
     its true supremum over the unit ball is |c|; pass means that supremum is
-    positive and the sampled maximum reaches at least half of it.
+    positive and the sampled maximum reaches at least half of it; draws that
+    all miss the ball give a sampled maximum of 0, which fails.
     """
+    _check_sample_count(n_points, "n_points")
     field = vector_field(params)
     rng = seeded_generator(seed)
     w = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     w = w[np.linalg.norm(w, axis=1) <= 1.0]
-    peak = float(np.max(np.abs(divergence(field, w))))
+    peak = float(np.max(np.abs(divergence(field, w)), initial=0.0))
     sup = float(np.linalg.norm(divergence(field, np.eye(3))))
     return {
         "claim": "div X vanishes identically iff a1 = a2 = 0",

@@ -145,6 +145,21 @@ class TestErrorPaths:
         assert main(["analyze"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("change, named", [
+        ({"a3": math.inf}, "a3 must be finite and nonzero"),
+        ({"a3": 1e-320}, "a1/a3"),
+        ({"a2": True}, "must be numbers"),
+        ([1, 2], "must be a JSON object"),
+    ], ids=["a3=Infinity", "a3=1e-320", "a2=true", "array"])
+    def test_unusable_parameter_document_is_named(self, tmp_path, capsys, change, named):
+        doc = {"I1": 3, "I2": 2, "I3": 1, "K1": 0.5, "K3": 1, "a1": 1, "a2": 1, "a3": 1}
+        doc = {**doc, **change} if isinstance(change, dict) else change
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        assert main(["analyze", "--params", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
 
 class TestSimulate:
     def test_equilibrium_constant_output(self, params_file, tmp_path):
@@ -210,7 +225,7 @@ class TestSimulate:
               "--omega0", "0.3,-0.4,0.5", "--T", "100", "--reconstruct",
               "--format", "json", "--out", str(out)])
         stats = _load_report(out)["config"]["attitude_integrator_stats"]
-        assert (stats["n_accepted"], stats["n_rejected"], stats["nfev"]) == (179, 28, 3202)
+        assert (stats["n_accepted"], stats["n_rejected"], stats["nfev"]) == (179, 28, 3023)
         assert 0.0 < stats["h_min"] <= stats["h_max"]
         # the CSV header keeps no counters, the attitude's included
         csv = tmp_path / "s.csv"

@@ -40,6 +40,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=0.0, a3=0.0)
 
+    @pytest.mark.parametrize("a3", [np.inf, -np.inf, np.nan])
+    def test_non_finite_a3_is_named(self, a3):
+        # a1/inf and a2/inf are 0: a3 = inf must not become the Euler regime
+        with pytest.raises(ValueError, match="a3 must be finite and nonzero"):
+            validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0, a3=a3)
+
+    @pytest.mark.parametrize("a1, a2, ratio", [(1.0, 0.0, "a1/a3"), (0.0, -1.0, "a2/a3")])
+    def test_overflowing_ratio_is_named(self, a1, a2, ratio):
+        with pytest.raises(ValueError, match=f"{ratio} = .* is not finite"):
+            validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=a1, a2=a2, a3=1e-320)
+
     def test_nonpositive_k3_rejected(self):
         with pytest.raises(ValueError):
             validate(3.0, 2.0, 1.0, 0.5, 0.0)
@@ -70,6 +81,20 @@ class TestLoadParams:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             load_params({"I1": 3})
+
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0]])
+    def test_value_that_is_not_a_number_rejected(self, value):
+        # a JSON true is not the number 1
+        with pytest.raises(ValueError, match=r"must be numbers: \['a2'\]"):
+            load_params({"I1": 3, "I2": 2, "I3": 1, "K1": 0.5, "K3": 1,
+                         "a1": 1, "a2": value})
+
+    @pytest.mark.parametrize("doc", [[1, 2], "I1", 3.0, None])
+    def test_document_that_is_not_an_object_rejected(self, tmp_path, doc):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_params(str(f))
 
 
 class TestMatrices:

@@ -41,8 +41,8 @@ from conftest import draw_params
 def _scipy_route(rhs, t0, y0, t1, after_step):
     """Oracle: scipy's DOP853 with its own per-step dense output, joined by
     OdeSolution; after_step(solver) runs after each step's dense output is
-    taken, as the package's projection or renormalization does. Returns the
-    step times and the joined solution."""
+    taken, as the package's energy projection does. Returns the step times
+    and the joined solution."""
     solver = DOP853(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12)
     ts, interps = [t0], []
     while solver.status == "running":
@@ -326,6 +326,26 @@ class TestReconstruct:
             assert len(one) == 5
             np.testing.assert_array_equal(_bits(one), _bits(row))
 
+    def test_attitude_keeps_unit_norm_unprojected(self, pstar_full, monkeypatch):
+        # q' = q (0, Omega) / 2 conserves |q|, which is why the attitude steps
+        # are never rescaled: the raw dense attitude of a long run stays on
+        # the unit sphere, at the step points and between them
+        seen = {}
+
+        def spy(rhs, steps):
+            seen["steps"] = steps
+            seen["dense"] = _dop853_interpolant(rhs, steps)
+            return seen["dense"]
+
+        monkeypatch.setattr("suslovkit.flow._dop853_interpolant", spy)
+        traj = simulate(pstar_full, np.array([0.3, -0.4, 0.5]), 1000.0)
+        reconstruct(pstar_full, traj)
+        ends = np.array([step[3] for step in seen["steps"]])
+        assert len(ends) > 500
+        assert np.max(np.abs(np.linalg.norm(ends[:, :4], axis=1) - 1.0)) <= 1e-9
+        q = seen["dense"](np.linspace(0.0, 1000.0, 20001))[:4]
+        assert np.max(np.abs(np.linalg.norm(q, axis=0) - 1.0)) <= 1e-9
+
 
 class TestDenseOutput:
     """Trajectory.dense against scipy's per-step DOP853 dense output."""
@@ -372,12 +392,8 @@ class TestDenseOutput:
             w = omega(t)
             return np.append(0.5 * quat_mul(y[:4], np.array([0.0, *w])), -(a @ w))
 
-        def renormalize(solver):
-            solver.y[:4] /= np.linalg.norm(solver.y[:4])
-            solver.f = rhs(solver.t, solver.y)
-
         y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        _, att_oracle = _scipy_route(rhs, 0.0, y0, 40.0, renormalize)
+        _, att_oracle = _scipy_route(rhs, 0.0, y0, 40.0, lambda solver: None)
         want = att_oracle(traj.times).T
         want_q = want[:, :4] / np.linalg.norm(want[:, :4], axis=1, keepdims=True)
         att = reconstruct(p, traj)
@@ -401,12 +417,12 @@ class TestDenseOutput:
 
     def test_attitude_counters_pinned(self, pstar):
         # reconstruct of the run above counts as integrate does: 12 rates per
-        # attempt after the start's 2, one after each renormalization, and 3
-        # dense-output stages per accepted step
+        # attempt after the start's 2, and 3 dense-output stages per accepted
+        # step
         traj = simulate(pstar, np.array([0.3, -0.4, 0.5]), 100.0, tol=1e-10)
         s = reconstruct(pstar, traj).integrator_stats
-        assert (s["n_accepted"], s["n_rejected"], s["nfev"]) == (179, 28, 3202)
-        assert s["nfev"] == 2 + 12 * (179 + 28) + 179 + 3 * 179
+        assert (s["n_accepted"], s["n_rejected"], s["nfev"]) == (179, 28, 3023)
+        assert s["nfev"] == 2 + 12 * (179 + 28) + 3 * 179
         assert 0.0 < s["h_min"] <= s["h_max"] <= 100.0
 
 
@@ -512,6 +528,11 @@ class TestSampleEllipsoid:
             with pytest.raises(ValueError, match="eta must be positive and finite"):
                 suslov_attractor_probe(pstar_full, eta=eta, samples=5, T=1.0)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_named(self, pstar, count):
+        with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+            sample_ellipsoid(pstar, 1.0, count, seed=1)
+
     def test_prefix_stability(self, pstar):
         # counter-based streams: first k samples don't depend on count
         a = sample_ellipsoid(pstar, 1.0, 10, seed=7)
@@ -543,6 +564,10 @@ class TestBatchIntegrator:
         assert [t for t, _ in rec_c] == [t for t, _ in rec_f] == [1.0, 2.0]
         for (_, snap_c), (_, snap_f) in zip(rec_c, rec_f):
             np.testing.assert_array_equal(snap_c, snap_f)
+
+    def test_empty_batch_is_named(self, pstar):
+        with pytest.raises(ValueError, match="number of states must be at least 1, got 0"):
+            integrate_batch(vector_field(pstar), np.empty((0, 3)), 5.0)
 
     def test_rejects_bad_record_times(self, pstar):
         f = vector_field(pstar)
@@ -800,6 +825,22 @@ class TestDetectAttractor:
     def test_recurrent_regime_captures_nothing(self, pstar):
         report = suslov_attractor_probe(pstar, samples=30, T=100.0, seed=4)
         assert 1.0 - report.none_fraction <= 0.05
+
+    @pytest.mark.parametrize("kw, named", [
+        (dict(samples=0), "samples must be at least 1, got 0"),
+        (dict(T=0.0), "T must be finite and nonzero, got 0.0"),
+        (dict(T=np.inf), "T must be finite and nonzero, got inf"),
+        (dict(capture_radius=np.nan), "capture_radius must be positive, got nan"),
+        (dict(capture_radius=-0.1), "capture_radius must be positive, got -0.1"),
+    ], ids=["samples=0", "T=0", "T=inf", "radius=nan", "radius<0"])
+    def test_unusable_probe_is_named_before_any_draw(self, pstar_full, monkeypatch, kw,
+                                                     named):
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr("suslovkit.flow.sample_ellipsoid", no_draw)
+        with pytest.raises(ValueError, match=named):
+            suslov_attractor_probe(pstar_full, **{"samples": 5, "T": 1.0, **kw})
 
 
 class TestMeasureTransport:

@@ -168,6 +168,11 @@ class TestPlaneInvariance:
         assert report["pass"]
         assert report["max_defect"] <= 1e-10
 
+    @pytest.mark.parametrize("n_points", [0, -5])
+    def test_point_count_below_one_is_named(self, pstar, n_points):
+        with pytest.raises(ValueError, match=f"n_points must be at least 1, got {n_points}"):
+            plane_defect_sweep(pstar, n_points=n_points, seed=3)
+
 
 class TestPdeResidual:
     def test_fixture_at_unit_point(self):
@@ -330,6 +335,18 @@ class TestDivergenceWitness:
         assert w["max_divergence"] >= 0.5 * w["supremum_unit_ball"]
         assert not w["divergence_free"]
         assert w["pass"] is True
+
+    def test_no_points_is_named(self, pstar_full):
+        with pytest.raises(ValueError, match="n_points must be at least 1, got 0"):
+            divergence_witness(pstar_full, n_points=0)
+
+    def test_draws_that_miss_the_ball_fail(self, pstar_full):
+        # the one draw at seed 0 lies outside the unit ball
+        w = divergence_witness(pstar_full, n_points=1, seed=0)
+        assert w["sample_count"] == 0
+        assert w["max_divergence"] == 0.0
+        assert w["supremum_unit_ball"] > 0.0
+        assert w["pass"] is False
 
     def test_supremum_matches_dense_sphere_max(self, pstar_full, rng):
         # independent route: |div| is linear in Omega, so its max over the
