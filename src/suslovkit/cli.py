@@ -152,11 +152,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cols, data = _orbit_table(params, traj.times, traj.states)
     if args.reconstruct:
         att = reconstruct(params, traj)
-        cols += ["qw", "qx", "qy", "qz", "theta", "theta_dot", "constraint_residual"]
-        # <a, Omega> + theta_dot vanishes when the two columns stay consistent
-        a_dot = (params.a1 * traj.states[:, 0] + params.a2 * traj.states[:, 1]
-                 + traj.states[:, 2])
-        data += [*att.rotations.T, att.theta, att.theta_dot, a_dot + att.theta_dot]
+        cols += ["qw", "qx", "qy", "qz", "theta", "theta_dot"]
+        data += [*att.rotations.T, att.theta, att.theta_dot]
     table = np.column_stack(data)
     config = {
         "params": params.to_dict(),
@@ -298,7 +295,7 @@ def cmd_transport(args: argparse.Namespace) -> int:
     doc = _report_header("transport", {
         "target": args.target, "params": params_doc, "density": density,
         "t": args.T, "samples": args.samples, "seed": args.seed,
-        "box": [[float(a), float(b)] for a, b in box],
+        "box": box.tolist(),
     })
     doc["report"] = report.to_dict()
     doc["pass"] = report.within_3se

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import Mapping
 
@@ -73,11 +73,7 @@ class SuslovParams:
         return (self.lam1, self.lam2, self.lam3)
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "I1": self.I1, "I2": self.I2, "I3": self.I3,
-            "K1": self.K1, "K3": self.K3,
-            "a1": self.a1, "a2": self.a2, "a3": 1.0,
-        }
+        return {**asdict(self), "a3": 1.0}
 
 
 def validate(

@@ -17,7 +17,7 @@ tr J(v) = div X(v) makes alpha = -det(Ka) div X(v_i).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,17 +49,10 @@ class EquilibriumReport:
     annotation: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "lambda": self.lambda_i,
-            "direction": [float(c) for c in self.direction],
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "classification": self.classification.value,
-            "source_sign": self.source_sign,
-            "sink_sign": self.sink_sign,
-            "annotation": self.annotation,
-        }
+        """The fields in order, lambda_i as "lambda"."""
+        doc = asdict(self)
+        doc.update(direction=self.direction.tolist(), classification=self.classification.value)
+        return {("lambda" if k == "lambda_i" else k): v for k, v in doc.items()}
 
 
 def equilibrium_directions(params: SuslovParams) -> tuple[Array, Array, Array]:

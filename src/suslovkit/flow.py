@@ -8,7 +8,7 @@ from __future__ import annotations
 import importlib.util
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -454,19 +454,7 @@ class TransportReport:
         return abs(self.mu_phi_t_A - self.mu_A) <= 3.0 * self.standard_error_estimate
 
     def to_dict(self) -> dict:
-        return {
-            "box": [[float(a), float(b)] for a, b in self.box],
-            "t": self.t,
-            "mu_A": self.mu_A,
-            "mu_phi_t_A": self.mu_phi_t_A,
-            "relative_error": self.relative_error,
-            "sample_count": dict(self.sample_count),
-            "standard_error_estimate": self.standard_error_estimate,
-            "se_mu_A": self.se_mu_A,
-            "se_transport": self.se_transport,
-            "seed": self.seed,
-            "within_3se": self.within_3se,
-        }
+        return {**asdict(self), "box": self.box.tolist(), "within_3se": self.within_3se}
 
 
 def _checked_start(field: VectorFieldSpec, x0: Array) -> Array:
@@ -607,11 +595,17 @@ def integrate_batch(
     recorded (time, states) snapshots. stats, when given, is filled as
     integrate's integrator_stats: n_accepted, n_rejected, nfev (each a call
     on the whole batch) and the smallest and largest accepted |step|, h_min
-    and h_max. A batch of no states is a ValueError.
+    and h_max. x0 is a batch (n, field.dim) or one state (field.dim,), taken
+    as a batch of one; any other shape, or a batch of no states, is a
+    ValueError before any step.
     """
     Y = np.asarray(x0, dtype=float)
     if Y.ndim == 1:
         Y = Y[None, :]
+    if Y.ndim != 2 or Y.shape[1] != field.dim:
+        raise ValueError(
+            f"x0 must have shape (n, {field.dim}) or ({field.dim},), got {np.shape(x0)}"
+        )
     _check_sample_count(len(Y), "number of states")
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
@@ -865,9 +859,10 @@ def detect_attractor(
     oscillation envelope: the peak distance over the late checkpoints must
     not exceed the peak over the early ones by more than the integration
     tolerance tol, below which a converged sample's distance is noise.  Slow
-    transit near a saddle shows a growing envelope and fails. samples must
-    be at least 1, T finite and nonzero and capture_radius positive, or
-    ValueError is raised before any draw.
+    transit near a saddle shows a growing envelope and fails. candidates
+    must hold at least one point, samples must be at least 1, T finite and
+    nonzero and capture_radius positive, or ValueError is raised before any
+    draw.
     """
     _check_sample_count(samples, "samples")
     if not (np.isfinite(T) and T != 0.0):
@@ -875,6 +870,8 @@ def detect_attractor(
     if not capture_radius > 0.0:
         raise ValueError(f"capture_radius must be positive, got {capture_radius}")
     labels = tuple(lbl for lbl, _ in candidates)
+    if not labels:
+        raise ValueError("candidates must hold at least one (label, point) pair")
     points = np.array([np.asarray(p, dtype=float) for _, p in candidates])
     x0 = np.asarray(sampler(samples, seed), dtype=float)
     checks = np.linspace(T * (1.0 - _TAIL_FRACTION), T, _TAIL_CHECKS + 1)
@@ -976,11 +973,10 @@ def _require_finite(values: Array, what: str) -> None:
 
 
 def _standard_error(values: Array, vol: float, what: str) -> float:
-    """vol times the standard error of the mean of finite values. The spread
-    is taken in units of the largest |value|, so squares cannot overflow."""
+    """vol times the standard error of the mean of finite values, not all 0.
+    The spread is taken in units of the largest |value|, so squares cannot
+    overflow."""
     scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return 0.0
     se = vol * scale * float(np.std(values / scale, ddof=1)) / float(np.sqrt(values.size))
     _require_finite(np.asarray(se), f"standard error of {what}")
     return se
@@ -1009,10 +1005,13 @@ def measure_transport_check(
     first min(N, _TRANSPORT_MAX_SAMPLES) of them. The volume factor comes
     from Liouville's formula, log|det D phi_t(x)| = integral from 0 to t of
     div X(phi_s(x)) ds, integrated as one extra state beside x; the
-    variational route of flow_map_with_jacobian is its test oracle. Needs
-    N >= 2. Raises ValueError when the field has neither div nor jac, or
-    when a box bound, the density at the box samples, a transport weight, or
-    a standard error is not finite.
+    variational route of flow_map_with_jacobian is its test oracle. Every t
+    takes this path: at t = 0 the integration takes no step, so x_end = x
+    and l_end = 0. Needs N >= 2. Raises ValueError when the field has
+    neither div nor jac; when a box bound, the density at the box samples, a
+    transport weight, or a standard error is not finite; and when mu(A) is 0
+    or every transport weight is 0, as when M underflows on the box, since
+    no relative error exists then.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
@@ -1032,27 +1031,30 @@ def measure_transport_check(
     m_vals = np.asarray(density.eval(pts), dtype=float)
     _require_finite(m_vals, "density M at the box samples")
     mu_A = vol * float(np.mean(m_vals))
-    se_A = _standard_error(m_vals, vol, "mu(A)")
-
-    if t == 0.0:
-        n_t = N
-        mu_T, se_T = mu_A, se_A
-        rel = 0.0
-    else:
-        x_end, log_vol = _log_volume_flow(
-            field, pts[:n_t], t, tol=_TRANSPORT_TOL, atol=_TRANSPORT_ATOL
+    if mu_A == 0.0:
+        raise ValueError(
+            "density M gives mu(A) = 0 on the box samples (it vanishes or underflows "
+            "there), so mu(phi_t(A)) has no relative error"
         )
-        weights = np.asarray(density.eval(x_end), dtype=float) * np.exp(log_vol)
-        _require_finite(weights, "transport weight M(x_end) * exp(l_end)")
-        mu_T = vol * float(np.mean(weights))
-        se_T = _standard_error(weights, vol, "mu(phi_t(A))")
-        rel = (mu_T - mu_A) / mu_A if mu_A != 0.0 else np.inf
+    se_A = _standard_error(m_vals, vol, "mu(A)")
+    x_end, log_vol = _log_volume_flow(
+        field, pts[:n_t], t, tol=_TRANSPORT_TOL, atol=_TRANSPORT_ATOL
+    )
+    weights = np.asarray(density.eval(x_end), dtype=float) * np.exp(log_vol)
+    _require_finite(weights, "transport weight M(x_end) * exp(l_end)")
+    if not weights.any():
+        raise ValueError(
+            f"transport weight M(x_end) * exp(l_end) is 0 at all {n_t} samples "
+            "(density M vanishes or underflows on phi_t(A))"
+        )
+    mu_T = vol * float(np.mean(weights))
+    se_T = _standard_error(weights, vol, "mu(phi_t(A))")
     return TransportReport(
         box=A,
         t=float(t),
         mu_A=mu_A,
         mu_phi_t_A=mu_T,
-        relative_error=float(rel),
+        relative_error=(mu_T - mu_A) / mu_A,
         sample_count={"mu_A": int(N), "transport": int(n_t)},
         standard_error_estimate=float(np.hypot(se_A, se_T)),
         se_mu_A=se_A,

@@ -12,7 +12,7 @@ integer making both exponents >= 1, so M is C1 and vanishes only on pi+-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -332,10 +332,7 @@ def residual_sweep(
         "div(M X) = 0 off the invariant planes",
         {
             "params": params.to_dict(),
-            "density": {
-                "R": dp.R, "xi_plus": dp.xi_plus, "xi_minus": dp.xi_minus,
-                "gamma": dp.gamma, "n": dp.n, "extra_power": int(extra_power),
-            },
+            "density": {**asdict(dp), "extra_power": int(extra_power)},
         },
         field, dens, pts, excl, tol,
     )
@@ -347,15 +344,18 @@ def plane_defect_sweep(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> dict:
-    """Check flow invariance of pi+- at on-plane sample points: the defect
-    |X1 - xi X3| must stay below tol * |X|."""
-    _check_sample_count(n_points, "n_points")
+    """Check flow invariance of pi+- at n_points on-plane sample points,
+    ceil(n_points / 2) on pi+ and floor(n_points / 2) on pi-: the defect
+    |X1 - xi X3| must stay below tol * |X|. Each plane needs a point, so
+    n_points below 2 is a ValueError."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points}: one point per plane")
     dp = density_params(params)
     field = vector_field(params)
     rng = seeded_generator(seed)
     worst = 0.0
-    for xi in (dp.xi_plus, dp.xi_minus):
-        t = rng.uniform(-2.0, 2.0, size=(n_points // 2 + 1, 2))
+    for xi, count in ((dp.xi_plus, n_points - n_points // 2), (dp.xi_minus, n_points // 2)):
+        t = rng.uniform(-2.0, 2.0, size=(count, 2))
         pts = np.stack([xi * t[:, 1], t[:, 0], t[:, 1]], axis=-1)
         X = field.eval(pts)
         defect = np.abs(X[..., 0] - xi * X[..., 2])
@@ -364,7 +364,7 @@ def plane_defect_sweep(
     return {
         "claim": "planes pi+- are flow invariant",
         "params": params.to_dict(),
-        "sample_count": 2 * (n_points // 2 + 1),
+        "sample_count": n_points,
         "max_defect": worst,
         "tolerance": tol,
         "pass": bool(worst <= tol),

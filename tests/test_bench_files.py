@@ -18,6 +18,14 @@ def test_bench_files_are_committed():
     assert BENCH_FILES
 
 
+@pytest.mark.parametrize("doc", ["README.md", "ROADMAP.md"])
+def test_every_bench_file_a_doc_names_is_committed(doc):
+    # a speed claim must point to a file that is there to read
+    named = set(re.findall(r"BENCH_\w+\.json", (ROOT / doc).read_text()))
+    missing = sorted(n for n in named if not (ROOT / n).is_file())
+    assert not missing, f"{doc} names {missing}, which are not in the repository"
+
+
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
 def test_bench_file_records_its_claim(path):
     doc = json.loads(path.read_text())

@@ -183,14 +183,19 @@ class TestSimulate:
         assert np.max(np.abs(E - E[0])) <= 1e-9 * abs(E[0])
         assert np.max(np.abs(F - F[0])) <= 1e-6 * max(abs(F[0]), 1e-30)
 
-    def test_reconstruct_constraint_column(self, params_file, tmp_path):
+    def test_reconstruct_theta_column(self, params_file, tmp_path):
         out = tmp_path / "s.csv"
         main(["simulate", "--params", params_file("p", 1.0, 1.0),
               "--omega0", "0.5,-0.2,0.8", "--T", "20", "--samples", "21",
               "--reconstruct", "--out", str(out)])
         cols, rows = _read_csv(out)
-        resid = rows[:, cols.index("constraint_residual")]
-        assert np.max(np.abs(resid)) <= 1e-9
+        assert cols[-6:] == ["qw", "qx", "qy", "qz", "theta", "theta_dot"]
+        from suslovkit import reconstruct, simulate, validate
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)
+        traj = simulate(p, np.array([0.5, -0.2, 0.8]), 20.0,
+                        record_times=np.linspace(0.0, 20.0, 21)[1:])
+        np.testing.assert_array_equal(rows[:, cols.index("theta")],
+                                      reconstruct(p, traj).theta)
         q = rows[:, cols.index("qw"):cols.index("qw") + 4]
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-9)
 
@@ -344,6 +349,36 @@ class TestPortrait:
         assert not d.exists()
 
 
+    def test_out_is_required(self, params_file, capsys):
+        assert main(["portrait", "--params", params_file("p", 1.0, 0.0),
+                     "--samples", "2"]) == 2
+        assert "--out directory is required" in capsys.readouterr().err
+
+    def test_failed_trajectory_is_listed_and_the_rest_written(self, params_file, tmp_path,
+                                                               monkeypatch):
+        # one initial condition fails to integrate: the manifest names it, the
+        # other trajectories are still written, and the bundle exits 0
+        from suslovkit import cli, sample_ellipsoid, validate
+        from suslovkit.flow import IntegrationError
+
+        real = cli.simulate
+        second = sample_ellipsoid(validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0), 1.0, 3, 1)[1]
+
+        def failing_second(params, omega0, T, **kw):
+            if np.array_equal(omega0, second):
+                raise IntegrationError("integration failed at t = 0.5", t_last=0.5)
+            return real(params, omega0, T, **kw)
+
+        monkeypatch.setattr(cli, "simulate", failing_second)
+        d = tmp_path / "port"
+        assert main(["portrait", "--params", params_file("p", 1.0, 0.0), "--T", "2",
+                     "--samples", "3", "--seed", "1", "--out", str(d)]) == 0
+        manifest = _load_report(d / "manifest.json")
+        assert manifest["files"] == ["traj_000.csv", "traj_002.csv"]
+        assert manifest["failures"] == [
+            {"trajectory": "traj_001.csv", "error": "integration failed at t = 0.5"}]
+        assert sorted(p.name for p in d.glob("*.csv")) == manifest["files"]
+
     def test_zero_samples_is_an_error_before_any_output(self, params_file, tmp_path,
                                                         capsys):
         d = tmp_path / "port"
@@ -484,6 +519,20 @@ class TestTransport:
         assert main(["transport", "suslov", "--params", str(f), "--T", "1",
                      "--samples", "200", "--out", str(out)]) == 2
         assert "density M at the box samples is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_underflowed_density_is_an_error(self, tmp_path, capsys):
+        # n = 3417: M underflows to 0 on this small box, so mu(A) = 0 and no
+        # relative error exists
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"I1": 1.1, "I2": 1.0, "I3": 0.9, "K1": 0.0,
+                                 "K3": 20.0, "a1": 1.0, "a2": 0.0}))
+        out = tmp_path / "t.json"
+        assert main(["transport", "suslov", "--params", str(f), "--T", "1",
+                     "--samples", "2000", "--seed", "0",
+                     "--box", "0.01,0.02,0.01,0.02,0.01,0.02", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "density M gives mu(A) = 0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("T", ["nan", "inf", "-inf"])

@@ -51,6 +51,22 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"{ratio} = .* is not finite"):
             validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=a1, a2=a2, a3=1e-320)
 
+    @pytest.mark.parametrize("args, named", [
+        ((np.nan, 2.0, 1.0, 0.5, 1.0), "parameters must be finite"),
+        ((3.0, 2.0, 1.0, 0.5, 1.0, np.inf), "parameters must be finite"),
+        ((3.0, 2.0, 0.0, 0.5, 1.0), "need I3 > 0"),
+        ((3.0, 2.0, 1.0, -0.1, 1.0), "K1 must be nonnegative"),
+    ], ids=["I1=nan", "a1=inf", "I3=0", "K1<0"])
+    def test_unusable_moment_is_named(self, args, named):
+        with pytest.raises(ValueError, match=named):
+            SuslovParams(*args, *(0.0,) * (7 - len(args)))
+
+    def test_to_dict_lists_every_field_and_a3(self):
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=2.0, a2=-1.0, a3=2.0)
+        assert p.to_dict() == {"I1": 3.0, "I2": 2.0, "I3": 1.0, "K1": 0.5, "K3": 1.0,
+                               "a1": 1.0, "a2": -0.5, "a3": 1.0}
+        assert list(p.to_dict()) == ["I1", "I2", "I3", "K1", "K3", "a1", "a2", "a3"]
+
     def test_nonpositive_k3_rejected(self):
         with pytest.raises(ValueError):
             validate(3.0, 2.0, 1.0, 0.5, 0.0)

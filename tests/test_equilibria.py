@@ -105,6 +105,11 @@ class TestScaleToEllipsoid:
         with pytest.raises(ValueError):
             scale_to_ellipsoid(pstar, np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("sign", [0, 2, -0.5])
+    def test_sign_must_be_unit(self, pstar, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            scale_to_ellipsoid(pstar, np.array([0.0, 0.0, 1.0]), 1.0, sign=sign)
+
 
 class TestLinearization:
     def test_annihilates_direction(self, rng):
@@ -296,6 +301,31 @@ class TestClassify:
                 r, rq = classify(p, i), classify(q, i)
                 assert (rq.classification, rq.source_sign, rq.sink_sign) == (
                     r.classification, r.source_sign, r.sink_sign)
+
+    @pytest.mark.parametrize("route", [stability_coefficients,
+                                       stability_coefficients_closed_form, classify])
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_index_outside_one_to_three_is_named(self, pstar_full, route, i):
+        with pytest.raises(ValueError, match="equilibrium index must be 1, 2 or 3"):
+            route(pstar_full, i)
+
+    def test_degenerate_line_is_named(self):
+        # I1 - I2 = 1e-11 makes beta vanish on lines 1 and 2 (both carry the
+        # factor l1 - l2); line 3 keeps beta = (l1 - l3)(l2 - l3) l3
+        p = validate(2.0 + 1e-11, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)
+        for i in (1, 2):
+            with pytest.raises(ValueError, match=f"degenerate equilibrium line V_{i}"):
+                classify(p, i)
+        assert classify(p, 3).classification is Classification.LINEAR_CENTER_PAIR
+
+    def test_report_json_lists_the_fields_in_order(self, pstar_full):
+        r = classify(pstar_full, 1)
+        d = r.to_dict()
+        assert list(d) == ["index", "lambda", "direction", "alpha", "beta",
+                           "classification", "source_sign", "sink_sign", "annotation"]
+        assert d["lambda"] == r.lambda_i and d["direction"] == r.direction.tolist()
+        assert (d["source_sign"], d["sink_sign"]) == (1, -1)
+        assert type(d["classification"]) is str
 
     def test_report_round_trip(self, pstar_full):
         r = classify(pstar_full, 1)

@@ -289,12 +289,16 @@ class TestReconstruct:
         norms = np.linalg.norm(att.rotations, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
-    def test_constraint_residual_at_samples(self, pstar_full):
+    def test_theta_matches_quadrature_of_rotor_rate(self, pstar_full):
+        # theta' = -<a, Omega>: the integrated rotor angle against Simpson's
+        # rule on the dense orbit, a route that shares no step with theta's
+        from scipy.integrate import simpson
+
         traj = simulate(pstar_full, np.array([0.5, -0.7, 0.3]), 15.0)
         att = reconstruct(pstar_full, traj)
-        a_dot = (pstar_full.a1 * traj.states[:, 0]
-                 + pstar_full.a2 * traj.states[:, 1] + traj.states[:, 2])
-        assert np.max(np.abs(a_dot + att.theta_dot)) <= 1e-9
+        ts = np.linspace(traj.times[0], traj.times[-1], 20001)
+        rate = -(traj.dense(ts).T @ np.array([pstar_full.a1, pstar_full.a2, 1.0]))
+        assert abs((att.theta[-1] - att.theta[0]) - simpson(rate, x=ts)) <= 1e-9
 
     def test_params_mismatch_rejected(self, pstar, pstar_full):
         traj = simulate(pstar, np.array([0.8, 0.3, 0.5]), 5.0)
@@ -565,6 +569,26 @@ class TestBatchIntegrator:
         for (_, snap_c), (_, snap_f) in zip(rec_c, rec_f):
             np.testing.assert_array_equal(snap_c, snap_f)
 
+    @pytest.mark.parametrize("field, x0", [
+        (example2d(), np.ones((3, 3))),
+        (example2d(), np.ones(3)),
+        (vector_field(validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)), np.ones((2, 3, 3))),
+    ], ids=["(3,3) on dim 2", "(3,) on dim 2", "(2,3,3) on dim 3"])
+    def test_malformed_batch_is_named_before_any_step(self, field, x0):
+        f, calls = _counting(field)
+        with pytest.raises(ValueError, match=rf"x0 must have shape \(n, {field.dim}\)"):
+            integrate_batch(f, x0, 1.0)
+        assert calls[0] == 0
+
+    def test_one_state_is_a_batch_of_one(self, pstar_full):
+        f = vector_field(pstar_full)
+        x0 = np.array([0.5, 0.2, 0.9])
+        Y, recs = integrate_batch(f, x0, 3.0, record_times=(1.5,))
+        Y1, recs1 = integrate_batch(f, x0[None, :], 3.0, record_times=(1.5,))
+        assert Y.shape == (1, 3)
+        np.testing.assert_array_equal(Y, Y1)
+        np.testing.assert_array_equal(recs[0][1], recs1[0][1])
+
     def test_empty_batch_is_named(self, pstar):
         with pytest.raises(ValueError, match="number of states must be at least 1, got 0"):
             integrate_batch(vector_field(pstar), np.empty((0, 3)), 5.0)
@@ -667,6 +691,45 @@ _RUNS = {
 class TestArgumentChecks:
     """Every integrator shares one stepping loop, which refuses a horizon or
     tolerance it cannot honour before taking a step."""
+
+    def test_step_budget_is_named(self, monkeypatch):
+        monkeypatch.setattr("suslovkit.flow._MAX_STEPS", 5)
+        with pytest.raises(IntegrationError, match="integration exceeded 5 steps") as exc:
+            integrate(example2d(), _X0_2D, 10.0)
+        assert 0.0 < exc.value.t_last < 10.0
+
+    def test_zero_horizon_integrate_is_named(self):
+        with pytest.raises(ValueError, match="integration horizon T must be nonzero"):
+            integrate(example2d(), _X0_2D, 0.0)
+
+    def test_flow_map_needs_a_jacobian(self):
+        with pytest.raises(ValueError, match="analytic field Jacobian"):
+            flow_map_with_jacobian(VectorFieldSpec(dim=2, eval=example2d().eval), _X0_2D, 1.0)
+
+    def test_non_finite_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="trajectory states must be finite"):
+            Trajectory(times=np.array([0.0, 1.0]), states=np.array([[1.0], [np.nan]]),
+                       energy_drift=None, integrator_stats={})
+
+    def test_reconstruct_needs_dense_output(self, pstar):
+        traj = simulate(pstar, np.array([0.3, -0.4, 0.5]), 1.0)
+        bare = Trajectory(times=traj.times, states=traj.states, energy_drift=None,
+                          integrator_stats={})
+        with pytest.raises(ValueError, match="dense output"):
+            reconstruct(pstar, bare)
+
+    def test_unknown_metric_is_named(self):
+        with pytest.raises(ValueError, match="metric must be 'euclidean' or 'angular'"):
+            _candidate_distances(np.ones((2, 3)), np.ones((1, 3)), "cosine")
+
+    @pytest.mark.parametrize("box, named", [
+        (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), r"box must have shape \(2, 2\)"),
+        (np.array([[1.0, np.inf], [1.0, 2.0]]), "box bounds must be finite"),
+        (np.array([[1.0, 1.0], [1.0, 2.0]]), "box must have positive widths"),
+    ], ids=["shape", "inf", "zero width"])
+    def test_unusable_box_is_named(self, box, named):
+        with pytest.raises(ValueError, match=named):
+            measure_transport_check(example2d(), example2d_density(), box, 1.0, 100, seed=1)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("run", list(_RUNS))
@@ -842,6 +905,13 @@ class TestDetectAttractor:
         with pytest.raises(ValueError, match=named):
             suslov_attractor_probe(pstar_full, **{"samples": 5, "T": 1.0, **kw})
 
+    def test_no_candidates_is_named_before_any_draw(self, pstar_full):
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        with pytest.raises(ValueError, match="at least one"):
+            detect_attractor(vector_field(pstar_full), [], no_draw, 5, 1.0)
+
 
 class TestMeasureTransport:
     def test_zero_time_exact(self):
@@ -849,6 +919,55 @@ class TestMeasureTransport:
             example2d(), example2d_density(),
             np.array([[1.0, 2.0], [1.0, 2.0]]), 0.0, 5000, seed=1)
         assert rep.relative_error == 0.0
+
+    def test_zero_time_takes_the_transport_path(self, monkeypatch):
+        # t = 0 integrates no step, but samples, re-weights and checks as at
+        # every t: at most _TRANSPORT_MAX_SAMPLES are transported, and a field
+        # with neither div nor jac is refused
+        seen = []
+        real = _log_volume_flow
+
+        def spy(field, x0, t, tol, atol):
+            seen.append((len(x0), t))
+            return real(field, x0, t, tol, atol)
+
+        monkeypatch.setattr("suslovkit.flow._log_volume_flow", spy)
+        monkeypatch.setattr("suslovkit.flow._TRANSPORT_MAX_SAMPLES", 300)
+        box = np.array([[1.0, 2.0], [1.0, 2.0]])
+        rep = measure_transport_check(example2d(), example2d_density(), box, 0.0, 500, seed=1)
+        assert seen == [(300, 0.0)]
+        assert rep.sample_count == {"mu_A": 500, "transport": 300}
+        bare = VectorFieldSpec(dim=2, eval=example2d().eval)
+        with pytest.raises(ValueError, match="divergence or Jacobian"):
+            measure_transport_check(bare, example2d_density(), box, 0.0, 100, seed=1)
+
+    def test_underflowed_density_is_named_before_integrating(self):
+        # on the n = 3417 set M ~ |u|^3416 underflows to 0 on a small box
+        p = validate(1.1, 1.0, 0.9, 0.0, 20.0, a1=1.0, a2=0.0)
+        dens = density_spec(p, density_params(p))
+        f, calls = _counting(vector_field(p))
+        with pytest.raises(ValueError, match=r"density M gives mu\(A\) = 0"):
+            measure_transport_check(f, dens, np.array([[0.01, 0.02]] * 3), 1.0, 2000, seed=0)
+        assert calls[0] == 0
+
+    def test_all_zero_transport_weights_are_named(self):
+        # M is 1 for x1 >= 1 and 0 below; example2d carries [1, 2] in x1 to
+        # [e^-1, 2 e^-1] by t = 1, where M vanishes
+        dens = DensitySpec(eval=lambda x: (x[..., 0] >= 1.0).astype(float),
+                           zero_set_description="x1 < 1")
+        with pytest.raises(ValueError, match="transport weight .* is 0 at all 200 samples"):
+            measure_transport_check(example2d(), dens, np.array([[1.0, 2.0], [1.0, 2.0]]),
+                                    1.0, 200, seed=1)
+
+    def test_report_json_lists_the_fields_in_order(self):
+        rep = measure_transport_check(example2d(), example2d_density(),
+                                      np.array([[1.0, 2.0], [1.0, 2.0]]), 0.5, 200, seed=1)
+        d = rep.to_dict()
+        assert list(d) == ["box", "t", "mu_A", "mu_phi_t_A", "relative_error",
+                           "sample_count", "standard_error_estimate", "se_mu_A",
+                           "se_transport", "seed", "within_3se"]
+        assert d["box"] == [[1.0, 2.0], [1.0, 2.0]] and d["within_3se"] == rep.within_3se
+        assert d["sample_count"] == rep.sample_count and d["sample_count"] is not rep.sample_count
 
     def test_fixture_box_measure(self):
         rep = measure_transport_check(

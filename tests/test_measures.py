@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from suslovkit.core import validate, vector_field
-from suslovkit.fields import DensitySpec, divergence, fd_gradient
+from suslovkit.fields import DensitySpec, VectorFieldSpec, divergence, fd_gradient
 from suslovkit.measures import (
     ClassADensityParams,
     _rejection_sample,
@@ -110,6 +110,17 @@ class TestDensityParams:
                                 gamma=1.0, n=4)  # even n
 
 
+    @pytest.mark.parametrize("kw, named", [
+        (dict(R=0.0), "R and gamma must be positive"),
+        (dict(gamma=-1.0), "R and gamma must be positive"),
+        (dict(gamma=0.5), "exponents n-1 and n\\*gamma-1 must be at least 1"),
+    ], ids=["R=0", "gamma<0", "n*gamma<2"])
+    def test_unusable_constructor_value_is_named(self, kw, named):
+        with pytest.raises(ValueError, match=named):
+            ClassADensityParams(**{"R": 1.0, "xi_plus": 0.5, "xi_minus": -0.5,
+                                   "gamma": 1.0, "n": 3, **kw})
+
+
 class TestDensityM:
     def test_vanishes_on_planes(self, pstar):
         dp = density_params(pstar)
@@ -168,10 +179,25 @@ class TestPlaneInvariance:
         assert report["pass"]
         assert report["max_defect"] <= 1e-10
 
-    @pytest.mark.parametrize("n_points", [0, -5])
+    @pytest.mark.parametrize("n_points", [0, -5, 1])
     def test_point_count_below_one_is_named(self, pstar, n_points):
-        with pytest.raises(ValueError, match=f"n_points must be at least 1, got {n_points}"):
+        # each plane needs a point, so the bound is 2
+        with pytest.raises(ValueError, match=f"n_points must be at least 2, got {n_points}"):
             plane_defect_sweep(pstar, n_points=n_points, seed=3)
+
+    @pytest.mark.parametrize("n_points", [1000, 201, 2])
+    def test_reports_the_count_it_was_given(self, pstar, n_points, monkeypatch):
+        # ceil(n / 2) points on pi+, floor(n / 2) on pi-, one field call each
+        drawn = []
+
+        def recording(params):
+            f = vector_field(params)
+            return VectorFieldSpec(dim=3, eval=lambda w: drawn.append(len(w)) or f.eval(w))
+
+        monkeypatch.setattr("suslovkit.measures.vector_field", recording)
+        report = plane_defect_sweep(pstar, n_points=n_points, seed=3)
+        assert report["sample_count"] == n_points
+        assert drawn == [n_points - n_points // 2, n_points // 2]
 
 
 class TestPdeResidual:
@@ -363,6 +389,21 @@ def test_fixture2d_sweep_machine_level():
     report = fixture2d_residual_sweep(n_points=2000, seed=4)
     assert report["pass"]
     assert report["max_residual"] <= 1e-8
+
+
+def test_negative_extra_power_is_named(pstar):
+    with pytest.raises(ValueError, match="extra_power must be a nonnegative integer"):
+        density_spec(pstar, density_params(pstar), extra_power=-1)
+
+
+def test_sweep_density_block_lists_the_params_fields(pstar):
+    # the report reads its density block off ClassADensityParams, in field order
+    report = residual_sweep(pstar, n_points=10, seed=1, extra_power=2)
+    dp = density_params(pstar)
+    assert report["density"] == {"R": dp.R, "xi_plus": dp.xi_plus, "xi_minus": dp.xi_minus,
+                                 "gamma": dp.gamma, "n": dp.n, "extra_power": 2}
+    assert list(report["density"]) == ["R", "xi_plus", "xi_minus", "gamma", "n",
+                                       "extra_power"]
 
 
 def test_density_spec_powers_zero_set(pstar):
