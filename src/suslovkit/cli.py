@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import SuslovParams, energy, load_params, vector_field
 from .equilibria import classify
-from .fields import _check_sample_count, example2d, example2d_density, DensitySpec
+from .fields import _check_sample_count, example2d, example2d_density, power_product
 from .flow import (
     IntegrationError,
     measure_transport_check,
@@ -258,14 +258,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if doc["pass"] else 1
 
 
-def _uniform_density() -> DensitySpec:
-    return DensitySpec(
-        eval=lambda x: np.ones(np.asarray(x).shape[:-1]),
-        zero_set_description="empty (constant density)",
-        differentiability_class="C1",
-    )
-
-
 def cmd_transport(args: argparse.Namespace) -> int:
     density = args.density
     if args.target == "example2d":
@@ -281,10 +273,8 @@ def cmd_transport(args: argparse.Namespace) -> int:
         field = vector_field(params)
         params_doc = params.to_dict()
         density = density or "classA"
-        if density == "uniform":
-            dens = _uniform_density()
-        else:
-            dens = density_spec(params, density_params(params))
+        dens = (power_product((), (), "empty (constant density)") if density == "uniform"
+                else density_spec(params, density_params(params)))
         box = np.array([[0.8, 1.2]] * 3)
     if args.box:
         vals = _parse_floats(args.box, 2 * field.dim, "--box")

@@ -6,7 +6,9 @@ to arrays of the same shape, and ``jac`` maps (..., dim) to (..., dim, dim).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,6 +17,9 @@ Array = np.ndarray
 
 #: cube root of machine epsilon, the central-difference sweet spot for C^2 functions
 FD_STEP_UNIT = float(np.cbrt(np.finfo(float).eps))
+
+#: exponents of |x1| and |x2| in the plane fixture's stationary density
+EXAMPLE2D_EXPONENTS = (5.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,33 @@ class DensitySpec:
             raise ValueError(
                 "differentiability_class must be 'C1' or 'measurable-only'"
             )
+
+
+def power_product(
+    rows: Sequence[Sequence[float]], exponents: Sequence[float], zero_set_description: str
+) -> DensitySpec:
+    """The density prod_i |<rows[i], x>|^exponents[i] (1 with no rows), C1
+    when every exponent is at least 1. A form skips zero coefficients and
+    the multiply of a unit one, and each sum and the product start from
+    their first term, so x1 - xi x3 costs one multiply and one add."""
+    if len(rows) != len(exponents) or not all(any(row) for row in rows):
+        raise ValueError("need one exponent per linear form, and each form nonzero")
+    factors = [
+        ([(j, float(c)) for j, c in enumerate(row) if c != 0.0], float(k))
+        for row, k in zip(rows, exponents)
+    ]
+
+    def linear(x: Array, form: list) -> Array:
+        return reduce(add, (x[..., j] if c == 1.0 else c * x[..., j] for j, c in form))
+
+    def evaluate(x: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        if not factors:
+            return np.ones(x.shape[:-1])
+        return reduce(mul, (np.abs(linear(x, form)) ** k for form, k in factors))
+
+    c1 = all(k >= 1.0 for _, k in factors)
+    return DensitySpec(evaluate, zero_set_description, "C1" if c1 else "measurable-only")
 
 
 def seeded_generator(seed: int) -> np.random.Generator:
@@ -137,17 +169,8 @@ def example2d() -> VectorFieldSpec:
 
 
 def example2d_density() -> DensitySpec:
-    """Stationary density M(x1, x2) = |x1|^5 x2^2 for the linear plane field."""
-
-    def evaluate(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.abs(x[..., 0]) ** 5 * x[..., 1] ** 2
-
-    return DensitySpec(
-        eval=evaluate,
-        zero_set_description="coordinate axes x1 = 0 and x2 = 0",
-        differentiability_class="C1",
-    )
+    """Stationary density M(x1, x2) = |x1|^5 |x2|^2 for the linear plane field."""
+    return power_product(np.eye(2), EXAMPLE2D_EXPONENTS, "coordinate axes x1 = 0 and x2 = 0")
 
 
 def example1d() -> VectorFieldSpec:

@@ -818,17 +818,15 @@ class CaptureReport:
 
 def _candidate_distances(states: Array, points: Array, metric: str) -> Array:
     """Distances from each state to each candidate, shape (n_candidates, N).
-    The angle between unit vectors a and b is 2 atan2(|a - b|, |a + b|)
-    (Kahan), accurate near 0 and pi where arccos(a . b) is not."""
+    The "angular" one between unit vectors a and b is 2 atan2(|a - b|,
+    |a + b|) (Kahan), accurate near 0 and pi where arccos(a . b) is not."""
     if metric == "euclidean":
         return np.linalg.norm(states[None, :, :] - points[:, None, :], axis=-1)
-    if metric == "angular":
-        sn = (states / np.linalg.norm(states, axis=-1, keepdims=True))[None, :, :]
-        pn = (points / np.linalg.norm(points, axis=-1, keepdims=True))[:, None, :]
-        return 2.0 * np.arctan2(
-            np.linalg.norm(sn - pn, axis=-1), np.linalg.norm(sn + pn, axis=-1)
-        )
-    raise ValueError("metric must be 'euclidean' or 'angular'")
+    sn = (states / np.linalg.norm(states, axis=-1, keepdims=True))[None, :, :]
+    pn = (points / np.linalg.norm(points, axis=-1, keepdims=True))[:, None, :]
+    return 2.0 * np.arctan2(
+        np.linalg.norm(sn - pn, axis=-1), np.linalg.norm(sn + pn, axis=-1)
+    )
 
 
 #: detect_attractor judges the distance trend on the last _TAIL_FRACTION of
@@ -861,14 +859,16 @@ def detect_attractor(
     tolerance tol, below which a converged sample's distance is noise.  Slow
     transit near a saddle shows a growing envelope and fails. candidates
     must hold at least one point, samples must be at least 1, T finite and
-    nonzero and capture_radius positive, or ValueError is raised before any
-    draw.
+    nonzero, capture_radius positive and metric "euclidean" or "angular", or
+    ValueError is raised before any draw.
     """
     _check_sample_count(samples, "samples")
     if not (np.isfinite(T) and T != 0.0):
         raise ValueError(f"T must be finite and nonzero, got {T}")
     if not capture_radius > 0.0:
         raise ValueError(f"capture_radius must be positive, got {capture_radius}")
+    if metric not in ("euclidean", "angular"):
+        raise ValueError("metric must be 'euclidean' or 'angular'")
     labels = tuple(lbl for lbl, _ in candidates)
     if not labels:
         raise ValueError("candidates must hold at least one (label, point) pair")

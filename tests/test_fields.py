@@ -17,6 +17,7 @@ from suslovkit.fields import (
     fd_gradient,
     fd_jacobian,
     fd_step,
+    power_product,
     seeded_generator,
 )
 from suslovkit.measures import density_params, density_spec
@@ -64,6 +65,54 @@ def test_example2d_density_values():
     assert m.eval(np.array([0.0, 5.0])) == 0.0
     assert m.eval(np.array([2.0, 3.0])) == 288.0
     assert m.differentiability_class == "C1"
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_class_a_density_is_its_formula_bit_for_bit(pstar, k):
+    # M |F|^k is the member n + k, and the product of powers rounds as the
+    # formula written out does
+    dp = density_params(pstar)
+    n = dp.n + k
+    a, b = n - 1.0, n * dp.gamma - 1.0
+    x = np.random.default_rng(k).normal(size=(10_000, 3))
+    formula = (np.abs(x[..., 0] - dp.xi_plus * x[..., 2]) ** a
+               * np.abs(x[..., 0] - dp.xi_minus * x[..., 2]) ** b)
+    spec = density_spec(pstar, dp, extra_power=k)
+    assert _same_bits(spec.eval(x), formula)
+    assert spec.differentiability_class == "C1"  # a = n - 1 >= 2, b >= 1
+
+
+def test_fixture_and_uniform_densities_are_their_formulas_bit_for_bit():
+    x = np.random.default_rng(3).normal(size=(10_000, 2))
+    fixture = example2d_density()
+    assert _same_bits(fixture.eval(x), np.abs(x[..., 0]) ** 5 * x[..., 1] ** 2)
+    assert fixture.differentiability_class == "C1"  # exponents 5 and 2
+    uniform = power_product((), (), "empty")
+    assert _same_bits(uniform.eval(x), np.ones(10_000))
+    assert uniform.differentiability_class == "C1"  # no factor vanishes
+
+
+def test_power_product_class_follows_its_exponents():
+    rows = ((1.0, 0.0), (0.0, 1.0))
+    assert power_product(rows, (1.0, 3.5), "axes").differentiability_class == "C1"
+    assert power_product(rows, (1.0, 0.5), "axes").differentiability_class == \
+        "measurable-only"
+    assert power_product(rows, (-0.5, 2.0), "axes").differentiability_class == \
+        "measurable-only"
+
+
+@pytest.mark.parametrize("rows, exponents", [
+    (((1.0, 0.0),), (1.0, 2.0)),
+    (((0.0, 0.0),), (1.0,)),
+], ids=["count", "zero form"])
+def test_power_product_rejects_unusable_forms(rows, exponents):
+    with pytest.raises(ValueError, match="one exponent per linear form, and each form nonzero"):
+        power_product(rows, exponents, "none")
 
 
 def test_example1d_values():

@@ -719,8 +719,17 @@ class TestArgumentChecks:
             reconstruct(pstar, bare)
 
     def test_unknown_metric_is_named(self):
+        # refused with the other arguments, before any draw or integration
+        calls = []
+
+        def sampler(count, seed):
+            calls.append((count, seed))
+            return np.ones((count, 2))
+
         with pytest.raises(ValueError, match="metric must be 'euclidean' or 'angular'"):
-            _candidate_distances(np.ones((2, 3)), np.ones((1, 3)), "cosine")
+            detect_attractor(example2d(), [("origin", np.zeros(2))], sampler, 10, 1.0,
+                             metric="cosine")
+        assert calls == []
 
     @pytest.mark.parametrize("box, named", [
         (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), r"box must have shape \(2, 2\)"),

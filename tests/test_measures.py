@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from suslovkit.fields import DensitySpec, VectorFieldSpec, divergence, fd_gradie
 from suslovkit.measures import (
     ClassADensityParams,
     _rejection_sample,
+    _sweep_report,
     classA_measure_exists,
     density_params,
     density_spec,
@@ -105,9 +107,10 @@ class TestDensityParams:
         with pytest.raises(ValueError):
             ClassADensityParams(R=1.0, xi_plus=0.5, xi_minus=0.6,
                                 gamma=1.0, n=3)  # xi_plus <= xi_minus
-        with pytest.raises(ValueError):
-            ClassADensityParams(R=1.0, xi_plus=0.5, xi_minus=-0.5,
-                                gamma=1.0, n=4)  # even n
+        # n is the family parameter: an even n is a member like any other,
+        # since both factors carry abs
+        dp = ClassADensityParams(R=1.0, xi_plus=0.5, xi_minus=-0.5, gamma=1.0, n=4)
+        assert (dp.exp_plus, dp.exp_minus) == (3.0, 3.0)
 
 
     @pytest.mark.parametrize("kw, named", [
@@ -239,10 +242,18 @@ class TestResidualSweep:
         assert report["max_residual"] <= 1e-6
 
     def test_density_times_F_powers_remain_stationary(self, pstar):
-        # M F^k solves the same stationarity PDE for k = 1, 2
-        for k in (1, 2):
-            report = residual_sweep(pstar, n_points=1000, seed=11, extra_power=k)
-            assert report["pass"], f"k={k}: {report['max_residual']}"
+        # M |F|^k is the family member n + k: its density, exclusion radius
+        # and samples all read that one member, so its larger exponents
+        # widen the radius (k = 10 needs 0.144 where n needs 0.0114)
+        dp = density_params(pstar)
+        for k in (1, 2, 10):
+            member = replace(dp, n=dp.n + k)
+            dens = density_spec(pstar, member)
+            excl = exclusion_radius(member)
+            pts = sample_off_plane(pstar, member, 20000, 1, excl=excl)
+            report = _sweep_report("M |F|^k", {}, vector_field(pstar), dens, pts, excl, 1e-6)
+            assert report["exclusion_radius"] == exclusion_radius(member) > exclusion_radius(dp)
+            assert report["max_residual"] <= 1e-7, f"k={k}: {report['max_residual']}"
 
     def test_main_theorem_parameter_sweep(self, rng):
         # the headline stationarity claim over many a2 = 0 parameter draws
@@ -374,6 +385,11 @@ class TestDivergenceWitness:
         assert w["supremum_unit_ball"] > 0.0
         assert w["pass"] is False
 
+    def test_witness_carries_no_predicates(self, pstar_full):
+        # the verify report states the measure predicates once, beside it
+        w = divergence_witness(pstar_full, n_points=10, seed=0)
+        assert not {"positive_c1_measure_exists", "classA_measure_exists"} & set(w)
+
     def test_supremum_matches_dense_sphere_max(self, pstar_full, rng):
         # independent route: |div| is linear in Omega, so its max over the
         # unit sphere approaches the coefficient norm
@@ -398,12 +414,11 @@ def test_negative_extra_power_is_named(pstar):
 
 def test_sweep_density_block_lists_the_params_fields(pstar):
     # the report reads its density block off ClassADensityParams, in field order
-    report = residual_sweep(pstar, n_points=10, seed=1, extra_power=2)
+    report = residual_sweep(pstar, n_points=10, seed=1)
     dp = density_params(pstar)
     assert report["density"] == {"R": dp.R, "xi_plus": dp.xi_plus, "xi_minus": dp.xi_minus,
-                                 "gamma": dp.gamma, "n": dp.n, "extra_power": 2}
-    assert list(report["density"]) == ["R", "xi_plus", "xi_minus", "gamma", "n",
-                                       "extra_power"]
+                                 "gamma": dp.gamma, "n": dp.n}
+    assert list(report["density"]) == ["R", "xi_plus", "xi_minus", "gamma", "n"]
 
 
 def test_density_spec_powers_zero_set(pstar):
