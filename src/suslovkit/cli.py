@@ -162,7 +162,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "project_energy": bool(args.project_energy),
         "energy_drift": traj.energy_drift,
         "integrator_stats": traj.integrator_stats,
-        "schema_version": SCHEMA_VERSION,
     }
     if args.reconstruct:
         config["attitude_integrator_stats"] = att.integrator_stats
@@ -173,6 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_json(doc, args.out)
     else:
         flat = {k: v for k, v in config.items() if not isinstance(v, dict)}
+        flat["schema_version"] = SCHEMA_VERSION
         flat.update({f"params.{k}": v for k, v in config["params"].items()})
         _write_csv(args.out, flat, cols, table)
     return 0

@@ -168,33 +168,11 @@ def matrices(params: SuslovParams) -> SystemMatrices:
 _EPS = np.zeros((3, 3, 3))
 _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-#: the monomials O_j O_k (j <= k) the field is a combination of, without
-#: O_3^2, whose coefficient Q_i33 vanishes because (Ba e_3) x e_3 = 0
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
+#: the monomials O1^2, O1 O2, O1 O3, O2^2, O2 O3 the field is a combination
+#: of, as flat indices 3 j + k (from 0) of O_j O_k; O3^2 is not one, since its
+#: coefficient Q_i33 vanishes because (Ba e_3) x e_3 = 0
+_PAIRS = np.array([0, 1, 2, 4, 5])
 _N_MONO = len(_PAIRS)
-
-
-def _linear_maps_of_q() -> Array:
-    """The 0/1 matrix T with Q.ravel() @ T = [C.ravel(), S.ravel(), c]: the
-    monomial table C[i, m] = Q_ijk + Q_ikj for the pair m = (j, k), j < k,
-    and Q_ijj for m = (j, j); the Jacobian table S[k, 3 i + j] = Q_ijk + Q_ikj;
-    and the divergence covector c_k = sum_i (Q_iik + Q_iki). An entry of C
-    or S adds at most two entries of Q, and products with 1 or 0 round
-    nothing, so C and S are those sums rounded once."""
-    T = np.zeros((3, 3, 3, 3 * _N_MONO + 27 + 3))
-    for i in range(3):
-        for m, (j, k) in enumerate(_PAIRS):
-            T[i, j, k, _N_MONO * i + m] = T[i, k, j, _N_MONO * i + m] = 1.0
-        for j in range(3):
-            for k in range(3):
-                T[i, j, k, 3 * _N_MONO + 9 * k + 3 * i + j] += 1.0
-                T[i, k, j, 3 * _N_MONO + 9 * k + 3 * i + j] += 1.0
-            T[i, i, j, -3 + j] += 1.0
-            T[i, j, i, -3 + j] += 1.0
-    return T.reshape(27, -1)
-
-
-_FROM_Q = _linear_maps_of_q()
 
 
 def vector_field(params: SuslovParams) -> VectorFieldSpec:
@@ -203,23 +181,29 @@ def vector_field(params: SuslovParams) -> VectorFieldSpec:
 
         Q_ijk = sum_lm (Ka^{-1})_il eps_lmk (Ba)_mj.
 
-    Every table the spec uses is a linear image of Q (_linear_maps_of_q):
+    Every table the spec uses is read off Q and its symmetrization
+    P_ijk = Q_ijk + Q_ikj by index:
     eval sums X_i = sum_m C_im mono_m over the monomials
     mono = (O1^2, O1 O2, O1 O3, O2^2, O2 O3), and point is that sum at one
-    point on Python floats; jac is J_ij = (Q_ijk + Q_ikj) O_k,
-    linear in Omega; and div is the covector product div X = <c, Omega>,
-    the trace of J."""
+    point on Python floats, with C_im = P_ijk for the pair m = (j, k), j < k,
+    and Q_ijj for m = (j, j); jac is J_ij = P_ijk O_k, linear in Omega; and
+    div is the covector product div X = <c, Omega>, c_k = sum_i P_iik, the
+    trace of J."""
     return _vector_field(matrices(params))
 
 
 def _vector_field(mats: SystemMatrices) -> VectorFieldSpec:
     """vector_field from matrices already built."""
     Q = np.einsum("il,lmk,mj->ijk", mats.Ka_inv, _EPS, mats.Ba)
-    tables = Q.reshape(27) @ _FROM_Q
-    C = tables[:3 * _N_MONO].reshape(3, _N_MONO)
-    # J(Omega) is one (.., 3) @ (3, 9) product
-    S = tables[3 * _N_MONO:-3].reshape(3, 9)
-    c = tables[-3:]
+    P = Q + Q.transpose(0, 2, 1)
+    # each table in C order: einsum and matmul run about half as fast on a
+    # strided one, as a fancy index or this reshape alone would give
+    C = P.reshape(3, 9).take(_PAIRS, axis=1)
+    # the squares O1^2 and O2^2 (pairs 0 and 3) take Q_ijj, not 2 Q_ijj
+    C[:, 0], C[:, 3] = Q[:, 0, 0], Q[:, 1, 1]
+    # J(Omega) is one (.., 3) @ (3, 9) product, S[k, 3 i + j] = P_ijk
+    S = P.transpose(2, 0, 1).reshape(3, 9).copy()
+    c = P[0, 0] + P[1, 1] + P[2, 2]
     # C's rows as Python floats, for the one-row sum
     (c00, c01, c02, c03, c04), (c10, c11, c12, c13, c14), (c20, c21, c22, c23, c24) = (
         C.tolist()

@@ -58,30 +58,42 @@ class DensitySpec:
             )
 
 
+def linear_forms(rows: Sequence[Sequence[float]]) -> Callable[[Array], list[Array]]:
+    """The map from x (..., d) to the signed forms [<rows[i], x>] (...), for
+    nonzero rows. A form skips zero coefficients and the multiply of a unit
+    one and starts from its first term: x1 - xi x3 is one multiply, one add."""
+    forms = [[(j, float(c)) for j, c in enumerate(row) if c != 0.0] for row in rows]
+
+    def evaluate(x: Array) -> list[Array]:
+        x = np.asarray(x, dtype=float)
+        return [
+            reduce(add, (x[..., j] if c == 1.0 else c * x[..., j] for j, c in form))
+            for form in forms
+        ]
+
+    return evaluate
+
+
 def power_product(
     rows: Sequence[Sequence[float]], exponents: Sequence[float], zero_set_description: str
 ) -> DensitySpec:
-    """The density prod_i |<rows[i], x>|^exponents[i] (1 with no rows), C1
-    when every exponent is at least 1. A form skips zero coefficients and
-    the multiply of a unit one, and each sum and the product start from
-    their first term, so x1 - xi x3 costs one multiply and one add."""
+    """The density prod_i |<rows[i], x>|^exponents[i] (1 with no rows) over
+    linear_forms(rows), C1 when every exponent is at least 1. The product
+    starts from its first factor, and a (d,) point is evaluated as a batch
+    of one row, so it gets the bits of the same row in any batch."""
     if len(rows) != len(exponents) or not all(any(row) for row in rows):
         raise ValueError("need one exponent per linear form, and each form nonzero")
-    factors = [
-        ([(j, float(c)) for j, c in enumerate(row) if c != 0.0], float(k))
-        for row, k in zip(rows, exponents)
-    ]
-
-    def linear(x: Array, form: list) -> Array:
-        return reduce(add, (x[..., j] if c == 1.0 else c * x[..., j] for j, c in form))
+    forms, powers = linear_forms(rows), [float(k) for k in exponents]
 
     def evaluate(x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        if not factors:
+        if x.ndim == 1:
+            return evaluate(x[None])[0]
+        if not powers:
             return np.ones(x.shape[:-1])
-        return reduce(mul, (np.abs(linear(x, form)) ** k for form, k in factors))
+        return reduce(mul, (np.abs(u) ** k for u, k in zip(forms(x), powers)))
 
-    c1 = all(k >= 1.0 for _, k in factors)
+    c1 = all(k >= 1.0 for k in powers)
     return DensitySpec(evaluate, zero_set_description, "C1" if c1 else "measurable-only")
 
 

@@ -700,11 +700,6 @@ def _hamilton(q, r) -> tuple:
     )
 
 
-def quat_mul(q: Array, r: Array) -> Array:
-    """Hamilton product of scalar-first quaternions."""
-    return np.array(_hamilton(q, r))
-
-
 def _trajectory_matches_field(field: VectorFieldSpec, traj: Trajectory) -> bool:
     """Check that the dense trajectory solves this field (guards against
     reconstructing with mismatched parameters)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .fields import (
     example2d,
     example2d_density,
     fd_gradient,
+    linear_forms,
     power_product,
     seeded_generator,
 )
@@ -50,6 +51,9 @@ _ROUND_MARGIN, _ROUND_FLOOR = 1.1, 64
 #: factor on the finite-difference truncation estimate behind the exclusion
 #: radius around the invariant planes
 _EXCLUSION_SAFETY = 10.0
+
+#: the norm annulus lo < |x| < hi both stationarity sweeps sample
+_ANNULUS = (0.3, 2.0)
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,11 @@ def density_params(params: SuslovParams) -> ClassADensityParams:
     return ClassADensityParams(R=R, xi_plus=xi_plus, xi_minus=xi_minus, gamma=gamma, n=n)
 
 
-def _plane_factors(dp: ClassADensityParams, omega: Array) -> tuple[Array, Array]:
-    omega = np.asarray(omega, dtype=float)
-    u_plus = omega[..., 0] - dp.xi_plus * omega[..., 2]
-    u_minus = omega[..., 0] - dp.xi_minus * omega[..., 2]
-    return u_plus, u_minus
+def _plane_rows(dp: ClassADensityParams) -> tuple[tuple[float, ...], ...]:
+    """The rows of the forms O1 - xi_pm O3 whose zero sets are the planes
+    pi+-, the one statement of them that M, F, the sampler and the plane
+    defect read through linear_forms."""
+    return ((1.0, 0.0, -dp.xi_plus), (1.0, 0.0, -dp.xi_minus))
 
 
 def first_integral_F(params: SuslovParams, dp: ClassADensityParams, omega: Array) -> Array:
@@ -135,7 +139,7 @@ def first_integral_F(params: SuslovParams, dp: ClassADensityParams, omega: Array
 
     Homogeneous of degree 1 + gamma: F(c Omega) = c^(1+gamma) F(Omega), c > 0.
     """
-    u_plus, u_minus = _plane_factors(dp, omega)
+    u_plus, u_minus = linear_forms(_plane_rows(dp))(omega)
     return u_plus * np.abs(u_minus) ** dp.gamma
 
 
@@ -148,7 +152,7 @@ def density_spec(
         raise ValueError("extra_power must be a nonnegative integer")
     dp = replace(dp, n=dp.n + int(extra_power))
     return power_product(
-        ((1.0, 0.0, -dp.xi_plus), (1.0, 0.0, -dp.xi_minus)),
+        _plane_rows(dp),
         (dp.exp_plus, dp.exp_minus),
         "invariant planes O1 - xi_plus O3 = 0 and O1 - xi_minus O3 = 0",
     )
@@ -255,32 +259,40 @@ def _rejection_sample(
     return np.concatenate(out)[:count]
 
 
+def _sample_off_zero_set(
+    rows: Sequence[Sequence[float]], count: int, seed: int, norm_range: tuple, excl: float
+) -> Array:
+    """count points in the norm annulus lo < |x| < hi, each clearing the zero
+    set of every form <row, x> by excl |x| |row|_1, drawn by
+    _rejection_sample from the cube [-hi, hi]^d."""
+    lo, hi = norm_range
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"norm_range must satisfy 0 <= lo < hi, got {norm_range}")
+    forms = linear_forms(rows)
+
+    def keep(x: Array) -> Array:
+        nrm = np.linalg.norm(x, axis=1)
+        mask = (nrm > lo) & (nrm < hi)
+        for u, row in zip(forms(x), rows):
+            mask &= np.abs(u) > excl * nrm * sum(abs(c) for c in row)
+        return mask
+
+    return _rejection_sample(seed, count, hi, len(rows[0]), keep, excl)
+
+
 def sample_off_plane(
     params: SuslovParams,
     dp: ClassADensityParams,
     count: int,
     seed: int,
-    norm_range: tuple[float, float] = (0.3, 2.0),
+    norm_range: tuple[float, float] = _ANNULUS,
     excl: float | None = None,
 ) -> Array:
     """Sample points in a norm annulus, rejecting the exclusion neighborhood
     of the planes pi+- (distances normalized by |Omega| (1 + |xi|))."""
-    lo, hi = norm_range
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"norm_range must satisfy 0 <= lo < hi, got {norm_range}")
     if excl is None:
         excl = exclusion_radius(dp)
-
-    def keep(w: Array) -> Array:
-        nrm = np.linalg.norm(w, axis=1)
-        u_plus, u_minus = _plane_factors(dp, w)
-        return (
-            (nrm > lo) & (nrm < hi)
-            & (np.abs(u_plus) > excl * nrm * (1.0 + abs(dp.xi_plus)))
-            & (np.abs(u_minus) > excl * nrm * (1.0 + abs(dp.xi_minus)))
-        )
-
-    return _rejection_sample(seed, count, hi, 3, keep, excl)
+    return _sample_off_zero_set(_plane_rows(dp), count, seed, norm_range, excl)
 
 
 def _sweep_report(
@@ -332,19 +344,20 @@ def plane_defect_sweep(
 ) -> dict:
     """Check flow invariance of pi+- at n_points on-plane sample points,
     ceil(n_points / 2) on pi+ and floor(n_points / 2) on pi-: the defect
-    |X1 - xi X3| must stay below tol * |X|. Each plane needs a point, so
-    n_points below 2 is a ValueError."""
+    |<row, X>| = |X1 - xi X3| must stay below tol * |X|. Each plane needs a
+    point, so n_points below 2 is a ValueError."""
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}: one point per plane")
     dp = density_params(params)
     field = vector_field(params)
     rng = seeded_generator(seed)
     worst = 0.0
-    for xi, count in ((dp.xi_plus, n_points - n_points // 2), (dp.xi_minus, n_points // 2)):
+    for row, count in zip(_plane_rows(dp), (n_points - n_points // 2, n_points // 2)):
+        # the plane <row, x> = 0 of a row (1, 0, r3) holds (-r3 t2, t1, t2)
         t = rng.uniform(-2.0, 2.0, size=(count, 2))
-        pts = np.stack([xi * t[:, 1], t[:, 0], t[:, 1]], axis=-1)
+        pts = np.stack([-row[2] * t[:, 1], t[:, 0], t[:, 1]], axis=-1)
         X = field.eval(pts)
-        defect = np.abs(X[..., 0] - xi * X[..., 2])
+        defect = np.abs(linear_forms([row])(X)[0])
         denom = np.maximum(np.linalg.norm(X, axis=-1), np.finfo(float).tiny * 1e20)
         worst = max(worst, float(np.max(defect / denom)))
     return {
@@ -359,15 +372,10 @@ def plane_defect_sweep(
 
 def fixture2d_residual_sweep(n_points: int = 4096, seed: int = 0, tol: float = 1e-6) -> dict:
     """Stationarity sweep for the plane fixture, M = |x1|^5 |x2|^2 against
-    (dx1, dx2) = (-x1, 2 x2); same exclusion policy as the main density,
-    with the fixture's exponents on the axes (joint degree 7 at the origin)."""
+    (dx1, dx2) = (-x1, 2 x2); the main density's sampler and exclusion policy
+    on the axes, rows of eye(2), with the fixture's exponents (degree 7 at 0)."""
     excl = _fd_exclusion(EXAMPLE2D_EXPONENTS, tol)
-
-    def keep(x: Array) -> Array:
-        guard = excl * np.maximum(1.0, np.linalg.norm(x, axis=1))
-        return (np.abs(x[:, 0]) > guard) & (np.abs(x[:, 1]) > guard)
-
-    pts = _rejection_sample(seed, n_points, 2.0, 2, keep, excl)
+    pts = _sample_off_zero_set(np.eye(2), n_points, seed, _ANNULUS, excl)
     return _sweep_report(
         "div(M X) = 0 off the coordinate axes (plane fixture)", {},
         example2d(), example2d_density(), pts, excl, tol,

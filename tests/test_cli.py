@@ -224,6 +224,18 @@ class TestSimulate:
         h = np.diff([row[0] for row in doc["rows"]])
         assert (stats["h_min"], stats["h_max"]) == (h.min(), h.max())
 
+    def test_json_states_schema_version_once(self, params_file, tmp_path):
+        out = tmp_path / "s.json"
+        main(["simulate", "--params", params_file("p", 1.0, 0.0),
+              "--omega0", "1,1,1", "--T", "5", "--format", "json",
+              "--out", str(out)])
+        doc = _load_report(out)
+        assert doc["schema_version"] == 1
+        assert list(doc["config"]) == [
+            "params", "omega0", "T", "tol", "project_energy", "energy_drift",
+            "integrator_stats",
+        ]
+
     def test_reconstruct_reports_attitude_stats(self, params_file, tmp_path):
         out = tmp_path / "s.json"
         main(["simulate", "--params", params_file("p", 1.0, 0.0),
@@ -516,8 +528,9 @@ class TestTransport:
         f.write_text(json.dumps({"I1": 1.1, "I2": 1.0, "I3": 0.9, "K1": 0.0,
                                  "K3": 20.0, "a1": 1.0, "a2": 0.0}))
         out = tmp_path / "t.json"
-        assert main(["transport", "suslov", "--params", str(f), "--T", "1",
-                     "--samples", "200", "--out", str(out)]) == 2
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["transport", "suslov", "--params", str(f), "--T", "1",
+                         "--samples", "200", "--out", str(out)]) == 2
         assert "density M at the box samples is not finite" in capsys.readouterr().err
         assert not out.exists()
 

@@ -97,6 +97,20 @@ def test_fixture_and_uniform_densities_are_their_formulas_bit_for_bit():
     assert uniform.differentiability_class == "C1"  # no factor vanishes
 
 
+@pytest.mark.parametrize("which", ["class A", "class A, k = 1", "fixture"])
+def test_point_is_its_batch_row_bit_for_bit(pstar, which):
+    # a (d,) point runs the batch's array arithmetic, not numpy's scalar pow
+    dp = density_params(pstar)
+    density, dim = {
+        "class A": (density_spec(pstar, dp), 3),
+        "class A, k = 1": (density_spec(pstar, dp, extra_power=1), 3),
+        "fixture": (example2d_density(), 2),
+    }[which]
+    x = np.random.default_rng(11).normal(size=(2000, dim))
+    batch = density.eval(x)
+    assert _same_bits(np.array([density.eval(row) for row in x]), batch)
+
+
 def test_power_product_class_follows_its_exponents():
     rows = ((1.0, 0.0), (0.0, 1.0))
     assert power_product(rows, (1.0, 3.5), "axes").differentiability_class == "C1"

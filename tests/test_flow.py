@@ -27,7 +27,6 @@ from suslovkit.flow import (
     integrate_batch,
     liouville_residual,
     measure_transport_check,
-    quat_mul,
     reconstruct,
     sample_ellipsoid,
     simulate,
@@ -66,6 +65,13 @@ def _scipy_simulate(params, omega0, T, project_energy):
             solver.f = rhs(solver.t, solver.y)
 
     return _scipy_route(rhs, 0.0, omega0, T, project)
+
+
+def _left_mul(q):
+    """The 4x4 matrix of left multiplication by the scalar-first quaternion
+    q: q (x) r = _left_mul(q) @ r, the Hamilton product."""
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
 
 
 def _bits(x):
@@ -394,7 +400,7 @@ class TestDenseOutput:
 
         def rhs(t, y):
             w = omega(t)
-            return np.append(0.5 * quat_mul(y[:4], np.array([0.0, *w])), -(a @ w))
+            return np.append(0.5 * _left_mul(y[:4]) @ np.array([0.0, *w]), -(a @ w))
 
         y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         _, att_oracle = _scipy_route(rhs, 0.0, y0, 40.0, lambda solver: None)
@@ -1057,7 +1063,8 @@ class TestMeasureTransport:
         # gamma ~ 5.9e-4 gives n = 3417, and M overflows on the whole box
         p = validate(1.1, 1.0, 0.9, 0.0, 20.0, a1=1.0, a2=0.0)
         dens = density_spec(p, density_params(p))
-        with pytest.raises(ValueError, match="density M at the box samples is not finite"):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="density M at the box samples is not finite"):
             measure_transport_check(vector_field(p), dens, np.array([[0.8, 1.2]] * 3),
                                     1.0, 200, seed=0)
 
@@ -1067,7 +1074,8 @@ class TestMeasureTransport:
         dens = DensitySpec(eval=lambda x: np.exp(100.0 * x[..., 1]),
                            zero_set_description="empty",
                            differentiability_class="C1")
-        with pytest.raises(ValueError, match="transport weight .* is not finite"):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="transport weight .* is not finite"):
             measure_transport_check(example2d(), dens,
                                     np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, 200,
                                     seed=1)

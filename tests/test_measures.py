@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from suslovkit import measures
 from suslovkit.core import validate, vector_field
 from suslovkit.fields import DensitySpec, VectorFieldSpec, divergence, fd_gradient
 from suslovkit.measures import (
@@ -285,6 +286,22 @@ class TestExclusionRadius:
             norm = np.linalg.norm(pts, axis=1) * (1.0 + abs(xi))
             assert np.all(d / norm >= r * 0.999)
 
+    def test_planes_are_read_from_one_row_table(self, pstar, monkeypatch):
+        # with pi+ moved, the density, F and the sampler all follow the rows
+        dp = density_params(pstar)
+        rows = ((1.0, 0.0, -(dp.xi_plus + 0.25)), (1.0, 0.0, -dp.xi_minus))
+        monkeypatch.setattr(measures, "_plane_rows", lambda dp: rows)
+        t = np.linspace(-2.0, 2.0, 41)
+        on_shifted = np.stack([(dp.xi_plus + 0.25) * t, 0.3 - t, t], axis=-1)
+        assert np.all(density_spec(pstar, dp).eval(on_shifted) == 0.0)
+        assert np.all(first_integral_F(pstar, dp, on_shifted) == 0.0)
+        excl = exclusion_radius(dp)
+        pts = sample_off_plane(pstar, dp, 2000, seed=9)
+        nrm = np.linalg.norm(pts, axis=1)
+        for row in rows:
+            d = np.abs(pts[:, 0] + row[2] * pts[:, 2])
+            assert np.all(d > excl * nrm * np.sum(np.abs(row)))
+
     @pytest.mark.parametrize("norm_range", [(2.0, 0.3), (1.0, 1.0), (-0.5, 1.0)])
     def test_empty_annulus_rejected(self, pstar, norm_range):
         dp = density_params(pstar)
@@ -405,6 +422,24 @@ def test_fixture2d_sweep_machine_level():
     report = fixture2d_residual_sweep(n_points=2000, seed=4)
     assert report["pass"]
     assert report["max_residual"] <= 1e-8
+
+
+def test_fixture2d_sweep_samples_the_annulus_off_the_axes(monkeypatch):
+    # the fixture's points come from the class-A sampler, rows eye(2)
+    seen = {}
+    report_of = measures._sweep_report
+
+    def spy(claim, context, field, density, pts, excl, tol):
+        seen.update(pts=pts, excl=excl)
+        return report_of(claim, context, field, density, pts, excl, tol)
+
+    monkeypatch.setattr(measures, "_sweep_report", spy)
+    fixture2d_residual_sweep(n_points=2000, seed=4)
+    pts, excl = seen["pts"], seen["excl"]
+    nrm = np.linalg.norm(pts, axis=1)
+    assert len(pts) == 2000
+    assert np.all((nrm > 0.3) & (nrm < 2.0))
+    assert np.all(np.abs(pts) > excl * nrm[:, None])
 
 
 def test_negative_extra_power_is_named(pstar):
