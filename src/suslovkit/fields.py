@@ -97,6 +97,17 @@ def power_product(
     return DensitySpec(evaluate, zero_set_description, "C1" if c1 else "measurable-only")
 
 
+def _row_norms(x: Array) -> Array:
+    """Euclidean norms over the last axis, (..., d) to (...): the sum of
+    x[..., k]**2 taken in column order, then sqrt. These are the bits of
+    np.linalg.norm(x, axis=-1), whose add.reduce sums a short last axis in
+    the same order, without its generic reduction over a d-wide axis."""
+    sq = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        sq += x[..., k] * x[..., k]
+    return np.sqrt(sq)
+
+
 def seeded_generator(seed: int) -> np.random.Generator:
     """The counter-based Philox generator keyed by seed; raises ValueError
     unless 0 <= seed < 2**128."""

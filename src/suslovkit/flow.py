@@ -17,8 +17,8 @@ import numpy as np
 from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
 from .equilibria import _check_energy_level, equilibrium_directions, scale_to_ellipsoid
 from .fields import (
-    Array, DensitySpec, VectorFieldSpec, _check_sample_count, _trace, divergence,
-    fd_jacobian, seeded_generator,
+    Array, DensitySpec, VectorFieldSpec, _check_sample_count, _row_norms, _trace,
+    divergence, fd_jacobian, seeded_generator,
 )
 
 
@@ -764,7 +764,7 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     stats["nfev"] += 3 * stats["n_accepted"]
     samples = dense_att(traj.times).T
     quats = samples[:, :4]
-    quats = quats / np.linalg.norm(quats, axis=1, keepdims=True)
+    quats = quats / _row_norms(quats)[:, None]
     omega_samples = traj.states
     theta_dot = -(
         a1 * omega_samples[:, 0] + a2 * omega_samples[:, 1] + omega_samples[:, 2]
@@ -791,7 +791,7 @@ def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) ->
     L = np.linalg.cholesky(matrices(params).Ka)
     rng = seeded_generator(seed)
     g = rng.standard_normal((count, 3))
-    y = np.sqrt(2.0 * eta) * g / np.linalg.norm(g, axis=1, keepdims=True)
+    y = np.sqrt(2.0 * eta) * g / _row_norms(g)[:, None]
     return np.linalg.solve(L.T, y.T).T
 
 
@@ -816,12 +816,10 @@ def _candidate_distances(states: Array, points: Array, metric: str) -> Array:
     The "angular" one between unit vectors a and b is 2 atan2(|a - b|,
     |a + b|) (Kahan), accurate near 0 and pi where arccos(a . b) is not."""
     if metric == "euclidean":
-        return np.linalg.norm(states[None, :, :] - points[:, None, :], axis=-1)
-    sn = (states / np.linalg.norm(states, axis=-1, keepdims=True))[None, :, :]
-    pn = (points / np.linalg.norm(points, axis=-1, keepdims=True))[:, None, :]
-    return 2.0 * np.arctan2(
-        np.linalg.norm(sn - pn, axis=-1), np.linalg.norm(sn + pn, axis=-1)
-    )
+        return _row_norms(states[None, :, :] - points[:, None, :])
+    sn = (states / _row_norms(states)[:, None])[None, :, :]
+    pn = (points / _row_norms(points)[:, None])[:, None, :]
+    return 2.0 * np.arctan2(_row_norms(sn - pn), _row_norms(sn + pn))
 
 
 #: detect_attractor judges the distance trend on the last _TAIL_FRACTION of

@@ -27,6 +27,7 @@ from .fields import (
     VectorFieldSpec,
     _check_sample_count,
     _jacobian,
+    _row_norms,
     _trace,
     divergence,
     example2d,
@@ -138,7 +139,12 @@ def first_integral_F(params: SuslovParams, dp: ClassADensityParams, omega: Array
     """The first integral F = (O1 - xi_+ O3) |O1 - xi_- O3|^gamma (a2 = 0).
 
     Homogeneous of degree 1 + gamma: F(c Omega) = c^(1+gamma) F(Omega), c > 0.
+    A (3,) point is evaluated as a batch of one row, so it gets the bits of
+    the same row in any batch.
     """
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim == 1:
+        return first_integral_F(params, dp, omega[None])[0]
     u_plus, u_minus = linear_forms(_plane_rows(dp))(omega)
     return u_plus * np.abs(u_minus) ** dp.gamma
 
@@ -171,9 +177,10 @@ def _residual_and_scale(
     for k in range(1, x.shape[-1]):
         res = res + grad_M[..., k] * X[..., k]
     res = res + M * _trace(J)
-    # |J|_F by einsum, without the (..., dim, dim) square np.linalg.norm forms
+    # |X| and |grad M| by _row_norms; |J|_F by einsum, which forms no
+    # (..., dim, dim) square
     scale = (
-        np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
+        _row_norms(X) * _row_norms(grad_M)
         + np.abs(M) * np.sqrt(np.einsum("...ij,...ij->...", J, J))
     )
     return res, np.maximum(scale, np.finfo(float).tiny * 1e20)
@@ -250,7 +257,7 @@ def _rejection_sample(
         size = min(size, _MAX_ROUND * count, budget - drawn)
         x = rng.uniform(-bound, bound, size=(size, dim))
         drawn += size
-        out.append(x[keep(x)])
+        out.append(np.compress(keep(x), x, axis=0))
         have += len(out[-1])
         if have:
             size = math.ceil(_ROUND_MARGIN * (count - have) * drawn / have) + _ROUND_FLOOR
@@ -271,7 +278,7 @@ def _sample_off_zero_set(
     forms = linear_forms(rows)
 
     def keep(x: Array) -> Array:
-        nrm = np.linalg.norm(x, axis=1)
+        nrm = _row_norms(x)
         mask = (nrm > lo) & (nrm < hi)
         for u, row in zip(forms(x), rows):
             mask &= np.abs(u) > excl * nrm * sum(abs(c) for c in row)
@@ -358,7 +365,7 @@ def plane_defect_sweep(
         pts = np.stack([-row[2] * t[:, 1], t[:, 0], t[:, 1]], axis=-1)
         X = field.eval(pts)
         defect = np.abs(linear_forms([row])(X)[0])
-        denom = np.maximum(np.linalg.norm(X, axis=-1), np.finfo(float).tiny * 1e20)
+        denom = np.maximum(_row_norms(X), np.finfo(float).tiny * 1e20)
         worst = max(worst, float(np.max(defect / denom)))
     return {
         "claim": "planes pi+- are flow invariant",
@@ -396,7 +403,7 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     field = vector_field(params)
     rng = seeded_generator(seed)
     w = rng.uniform(-1.0, 1.0, size=(n_points, 3))
-    w = w[np.linalg.norm(w, axis=1) <= 1.0]
+    w = np.compress(_row_norms(w) <= 1.0, w, axis=0)
     peak = float(np.max(np.abs(divergence(field, w)), initial=0.0))
     sup = float(np.linalg.norm(divergence(field, np.eye(3))))
     return {

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from suslovkit.fields import (
     FD_STEP_UNIT,
     DensitySpec,
     VectorFieldSpec,
+    _row_norms,
     _trace,
     divergence,
     example1d,
@@ -228,6 +231,33 @@ def test_density_spec_rejects_unknown_class():
 def test_trace_helper_bit_equal_to_np_trace():
     J = np.random.default_rng(7).normal(size=(1000, 3, 3))
     np.testing.assert_array_equal(_trace(J), np.trace(J, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_row_norms_bit_equal_to_linalg_norm(width):
+    rng = np.random.default_rng(width)
+    # magnitudes 1e-100 ... 1e100, so some squares underflow and overflow
+    x = rng.normal(size=(20_000, width)) * 10.0 ** rng.uniform(-100, 100, (20_000, width))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 1e308])
+    x[:2000] = rng.choice(special, size=(2000, width))
+    x[2000:4000, 0] = rng.choice(special, size=2000)
+    # both square and add alike: the same overflows, underflows and NaNs
+    with np.errstate(all="ignore"):
+        for batch in (x, x.reshape(-1, 40, width), np.asfortranarray(x), x[:24], x[7]):
+            assert _same_bits(_row_norms(batch), np.linalg.norm(batch, axis=-1))
+
+
+def test_no_axis_norm_in_the_package():
+    # batch norms over the state axis go through _row_norms, one idiom;
+    # np.linalg.norm stays for single vectors (no axis argument)
+    src = Path(__file__).resolve().parent.parent / "src" / "suslovkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm")
+                    and any(kw.arg == "axis" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"np.linalg.norm(..., axis=...) at {found}; use fields._row_norms"
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])

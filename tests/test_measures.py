@@ -176,6 +176,13 @@ class TestFirstIntegralF:
             fc = first_integral_F(pstar, dp, c * x)
             assert fc == pytest.approx(c ** (1.0 + dp.gamma) * f0, rel=1e-12)
 
+    def test_point_is_its_batch_row_bit_for_bit(self, pstar):
+        # a (3,) point runs the batch's array power, not numpy's scalar pow
+        dp = density_params(pstar)
+        x = np.random.default_rng(0).normal(size=(2000, 3))
+        points = np.array([first_integral_F(pstar, dp, row) for row in x])
+        assert points.tobytes() == first_integral_F(pstar, dp, x).tobytes()
+
 
 class TestPlaneInvariance:
     def test_sweep(self, pstar):
@@ -268,6 +275,30 @@ class TestResidualSweep:
         assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_residual_sweep_is_its_linalg_norm_oracle(seed):
+    # the sweep written out with boolean indexing and np.linalg.norm over
+    # rows, on one stream drawn whole: Philox draws do not depend on chunking
+    p = draw_classA_params(np.random.default_rng(seed))
+    dp, n, tol = density_params(p), 3000, 1e-6
+    excl = exclusion_radius(dp, tol)
+    x = np.random.Generator(np.random.Philox(key=seed)).uniform(-2.0, 2.0, size=(20 * n, 3))
+    nrm = np.linalg.norm(x, axis=-1)
+    mask = (nrm > 0.3) & (nrm < 2.0)
+    for xi in (dp.xi_plus, dp.xi_minus):
+        mask &= np.abs(x[:, 0] - xi * x[:, 2]) > excl * nrm * (1.0 + abs(xi))
+    pts = x[mask][:n]
+    field, dens = vector_field(p), density_spec(p, dp)
+    grad_M, X, M, J = fd_gradient(dens.eval, pts), field.eval(pts), dens.eval(pts), field.jac(pts)
+    res = np.sum(grad_M * X, axis=-1) + M * np.trace(J, axis1=-2, axis2=-1)
+    scale = (np.linalg.norm(X, axis=-1) * np.linalg.norm(grad_M, axis=-1)
+             + np.abs(M) * np.linalg.norm(J, axis=(-2, -1)))
+    worst = np.max(np.abs(res) / np.maximum(scale, np.finfo(float).tiny * 1e20))
+    report = residual_sweep(p, n_points=n, seed=seed, tol=tol)
+    assert report["sample_count"] == len(pts) == n
+    assert report["max_residual"] == worst
+
+
 class TestExclusionRadius:
     def test_formula_reproduction(self, pstar):
         dp = density_params(pstar)
@@ -347,6 +378,23 @@ class TestRejectionSample:
         assert max(rounds) <= 4 * count
         if count >= 37:
             assert len(rounds) >= min_rounds
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 2 ** 100])
+    @pytest.mark.parametrize("count", [5, 64, 1500])
+    def test_compaction_is_boolean_indexing(self, seed, count):
+        # a keep passing 5% of rows: the 5-row first rounds keep nothing
+        keep = lambda x: x[:, 0] > 1.8
+        kept = []
+
+        def recording(x):
+            mask = keep(x)
+            kept.append(int(mask.sum()))
+            return mask
+
+        pts = _rejection_sample(seed, count, self.BOUND, self.DIM, recording, 0.5)
+        assert pts.tobytes() == self._oracle(seed, count, keep, 400 * count).tobytes()
+        if count == 5:
+            assert kept[0] == 0
 
     def test_gives_up_after_budget(self):
         count = 7
