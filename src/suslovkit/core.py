@@ -57,20 +57,9 @@ class SuslovParams:
             raise ValueError("rotor transverse moment K1 must be nonnegative")
 
     @property
-    def lam1(self) -> float:
-        return self.I1 + self.K1
-
-    @property
-    def lam2(self) -> float:
-        return self.I2 + self.K1
-
-    @property
-    def lam3(self) -> float:
-        return self.I3
-
-    @property
     def lam(self) -> tuple[float, float, float]:
-        return (self.lam1, self.lam2, self.lam3)
+        """The moments (I1 + K1, I2 + K1, I3) on the diagonal of Ba."""
+        return (self.I1 + self.K1, self.I2 + self.K1, self.I3)
 
     def to_dict(self) -> dict[str, float]:
         return {**asdict(self), "a3": 1.0}

@@ -18,8 +18,8 @@ Array = np.ndarray
 #: cube root of machine epsilon, the central-difference sweet spot for C^2 functions
 FD_STEP_UNIT = float(np.cbrt(np.finfo(float).eps))
 
-#: exponents of |x1| and |x2| in the plane fixture's stationary density
-EXAMPLE2D_EXPONENTS = (5.0, 2.0)
+#: the plane fixture's stationary density |x1|^5 |x2|^2 as factor rows and exponents
+EXAMPLE2D_FACTORS = (((1.0, 0.0), (0.0, 1.0)), (5.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def example2d() -> VectorFieldSpec:
 
 def example2d_density() -> DensitySpec:
     """Stationary density M(x1, x2) = |x1|^5 |x2|^2 for the linear plane field."""
-    return power_product(np.eye(2), EXAMPLE2D_EXPONENTS, "coordinate axes x1 = 0 and x2 = 0")
+    return power_product(*EXAMPLE2D_FACTORS, "coordinate axes x1 = 0 and x2 = 0")
 
 
 def example1d() -> VectorFieldSpec:

@@ -180,10 +180,10 @@ def _dop853_steps(
     and calls rhs never.
 
     One loop body serves both shapes; its leaves, picked once by y0.ndim,
-    each round as scipy does, and each stage is one call of the stage leaf,
-    the rate at y + h dy. One state runs on Python floats: y, the stage
-    states and y_new are lists, rhs takes a list and returns d floats, and
-    project takes and returns an array. Stage sums stay np.dot of a row of A
+    each round as scipy does, and each stage is rhs at the stage state
+    advance(y, dy, h) = y + h dy. One state runs on Python floats: y, the
+    stage states and y_new are lists, rhs takes a list and returns d floats,
+    and project takes and returns an array. Stage sums stay np.dot of a row of A
     and the earlier stages, scipy's gemv, whose fused multiply-adds a Python
     sum would not repeat; float * and + round as numpy's elementwise ones,
     and the scale keeps np.maximum's NaN. Times, steps and factors are Python
@@ -208,12 +208,10 @@ def _dop853_steps(
     direction = 1.0 if t1 > t0 else -1.0
     stops = [float(s) for s in stops if direction * (t1 - s) > 0.0] + [float(t1)]
     n_stages = _dop853.N_STAGES
-    # the leaves: the rate at the stage state y + h dy, the state y + h dy
-    # itself, and atol + max(|y|, |y_new|) tol
+    # the leaves: the state y + h dy, and atol + max(|y|, |y_new|) tol
     shape = y0.shape
     if y0.ndim == 1:
         floats, array = np.ndarray.tolist, np.array
-        stage = lambda t, y, dy, h: rhs(t, [yi + di * h for yi, di in zip(y, dy.tolist())])
         advance = lambda y, dy, h: [yi + di * h for yi, di in zip(y, dy.tolist())]
         error_scale = lambda y, y_new: np.array([
             atol + (u if u > v or u != u else v) * tol
@@ -221,7 +219,6 @@ def _dop853_steps(
         ])
     else:
         floats = array = np.asarray  # the array itself
-        stage = lambda t, y, dy, h: rhs(t, y + dy.reshape(shape) * h)
         advance = lambda y, dy, h: y + dy.reshape(shape) * h
         error_scale = lambda y, y_new: atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
     # K[0] holds the rate at the state each step starts from
@@ -264,7 +261,7 @@ def _dop853_steps(
                 # each stage state is y + h sum_j a_j K[j], rounded as scipy
                 # rounds it: the row's dot with the stages is scipy's gemv
                 for c, dot, K_before, K_s in stages:
-                    K_s[...] = stage(t + c * h, y, dot(K_before), h)
+                    K_s[...] = rhs(t + c * h, advance(y, dot(K_before), h))
                 y_new = advance(y, b_dot(K_body), h)
                 K[-1] = rhs(t + h, y_new)
                 nfev += n_stages
@@ -399,6 +396,23 @@ def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> De
     return DenseOutput(t_old, t_new, y_old, F)
 
 
+def _dense_run(rhs, dense_rhs, t0, y0, t1, tol, atol, what, project=None):
+    """One state's _dop853_steps run with the bookkeeping of every scalar run
+    that samples its interpolant: the times and states from (t0, y0) on,
+    each state project(y_new) when project is given; the interpolant of
+    every step (_dop853_interpolant, three batched dense_rhs calls after
+    stepping), ending each step at its unprojected state; and the stats,
+    whose nfev also counts those 3 stages of each accepted step."""
+    ts, states, steps, stats = [t0], [y0.copy()], [], {}
+    for step in _dop853_steps(rhs, t0, y0, t1, tol, atol, what, project=project, stats=stats):
+        steps.append((step.t_old, step.t, step.y_old, step.y_new, step.K.copy()))
+        ts.append(step.t)
+        states.append(step.y)
+    dense = _dop853_interpolant(dense_rhs, steps)
+    stats["nfev"] += 3 * stats["n_accepted"]
+    return ts, states, dense, stats
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution curve with integrator diagnostics.
@@ -479,17 +493,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate the field from x0 over [0, T] (T may be negative).
 
-    Adaptive DOP853 stepping; samples are the accepted step points unless
+    Adaptive DOP853 stepping by _dense_run, which builds the dense output
+    and counts integrator_stats; samples are the accepted step points unless
     record_times supplies an explicit grid, which is read off the dense
-    output. The dense output of all steps is built once after stepping, in
-    three batched field calls (see _dop853_interpolant). An optional project
-    hook is applied to the state after every accepted step (used for energy
-    re-projection on long portrait runs); projection is a flagged
-    correction, never silent default behavior, and each step's interpolant
-    ends at the unprojected state. integrator_stats gives n_accepted,
-    n_rejected, nfev and the smallest and largest accepted |step|, h_min and
-    h_max. The steps call field.point, or field.eval on a (dim,) array when
-    the spec has no point. An x0 that is not finite is a ValueError.
+    output. An optional project hook is applied to the state after every
+    accepted step (used for energy re-projection on long portrait runs);
+    projection is a flagged correction, never silent default behavior.
+    integrator_stats gives n_accepted, n_rejected, nfev and the smallest and
+    largest accepted |step|, h_min and h_max. The steps call field.point, or
+    field.eval on a (dim,) array when the spec has no point. An x0 that is
+    not finite is a ValueError.
     """
     x0 = _checked_start(field, x0)
     if T == 0.0:
@@ -503,21 +516,10 @@ def integrate(
             raise ValueError("record_times must lie within the integration span")
 
     point = field.point or (lambda y: field.eval(np.array(y)))
-    ts = [0.0]
-    states = [x0.copy()]
-    steps = []
-    stats: dict = {}
-    for step in _dop853_steps(
-        lambda t, y: point(y), 0.0, x0, T, tol, atol, "integration",
-        project=project, stats=stats,
-    ):
-        steps.append((step.t_old, step.t, step.y_old, step.y_new, step.K.copy()))
-        ts.append(step.t)
-        states.append(step.y)
-
-    dense = _dop853_interpolant(lambda t, y: field.eval(y), steps)
-    # nfev also counts the 3 dense-output stages of each step
-    stats["nfev"] += 3 * stats["n_accepted"]
+    ts, states, dense, stats = _dense_run(
+        lambda t, y: point(y), lambda t, y: field.eval(y), 0.0, x0, T, tol, atol,
+        "integration", project=project,
+    )
 
     if record_times is not None:
         t_out = np.unique(np.concatenate([[0.0, T], grid]))
@@ -728,10 +730,9 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
     step; the steps keep q as integrated, and only the sampled rotations
     are scaled to unit norm.
     The rhs reads Omega from traj.dense and takes one time and state or a
-    batch of them, so the attitude's own dense output, which samples it at
-    traj.times, is built like integrate's, after stepping. integrator_stats
-    counts as integrate's do: nfev includes the 3 dense-output stages of
-    each accepted step.
+    batch of them, so _dense_run steps it and builds the attitude's dense
+    output, which samples it at traj.times, and its integrator_stats, as it
+    does integrate's.
     """
     if traj.dense is None:
         raise ValueError("reconstruction needs a trajectory with dense output")
@@ -753,15 +754,7 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    stats: dict = {}
-    steps = [
-        (step.t_old, step.t, step.y_old, step.y_new, step.K.copy())
-        for step in _dop853_steps(
-            rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration", stats=stats
-        )
-    ]
-    dense_att = _dop853_interpolant(rhs, steps)
-    stats["nfev"] += 3 * stats["n_accepted"]
+    _, _, dense_att, stats = _dense_run(rhs, rhs, t0, y0, t1, _TOL, _ATOL, "attitude integration")
     samples = dense_att(traj.times).T
     quats = samples[:, :4]
     quats = quats / _row_norms(quats)[:, None]

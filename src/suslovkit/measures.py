@@ -7,7 +7,7 @@ For a2 = 0 the planes pi+-: O1 - xi_pm O3 = 0 are flow invariant and
     M(Omega) = |O1 - xi_+ O3|^(n-1) |O1 - xi_- O3|^(n gamma - 1)
 
 is stationary: div(M X) = 0 away from the planes, and C1 once both
-exponents are >= 1. n is the family parameter: density_params keeps the
+exponents are >= 1. n is the family parameter: density_params computes the
 smallest odd n >= 3 making M C1, and M |F|^k (F below) is the member n + k.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .core import SuslovParams, vector_field
 from .fields import (
     Array,
     DensitySpec,
-    EXAMPLE2D_EXPONENTS,
+    EXAMPLE2D_FACTORS,
     FD_STEP_UNIT,
     VectorFieldSpec,
     _check_sample_count,
@@ -31,7 +31,6 @@ from .fields import (
     _trace,
     divergence,
     example2d,
-    example2d_density,
     fd_gradient,
     linear_forms,
     power_product,
@@ -68,6 +67,9 @@ class ClassADensityParams:
     n: int
 
     def __post_init__(self) -> None:
+        infinite = {k: v for k, v in asdict(self).items() if k != "n" and not math.isfinite(v)}
+        if infinite:
+            raise ValueError(f"R, xi_plus, xi_minus and gamma must be finite, got {infinite}")
         if self.R <= 0.0 or self.gamma <= 0.0:
             raise ValueError("R and gamma must be positive")
         if self.xi_plus <= self.xi_minus:
@@ -122,10 +124,25 @@ def density_params(params: SuslovParams) -> ClassADensityParams:
     elif A < -0.5 * R:
         gamma = (R - A) ** 2 / N
         xi_plus = N / ((R - A) * den)
-    n = 3
-    while n * gamma - 1.0 < 1.0:
-        n += 2
-    return ClassADensityParams(R=R, xi_plus=xi_plus, xi_minus=xi_minus, gamma=gamma, n=n)
+    return ClassADensityParams(R, xi_plus, xi_minus, gamma, _least_c1_n(gamma))
+
+
+def _least_c1_n(gamma: float) -> int:
+    """The n at which the search n = 3, 5, 7, ... for n gamma - 1 >= 1 stops,
+    in a few steps for every gamma: the odd ceiling of 2 / gamma, moved by
+    guard steps of 2 that absorb its rounding, down while n - 2 changes
+    n gamma and up at least to the next float. Where 2 / gamma is not finite
+    and positive no n exists, and 3 leaves ClassADensityParams to reject it."""
+    bound = 2.0 / gamma if gamma > 0.0 else math.nan
+    if not math.isfinite(bound):
+        return 3
+    c1 = lambda m: m * gamma - 1.0 >= 1.0
+    n = max(3, 2 * math.ceil((bound - 1.0) / 2.0) + 1)
+    while n > 3 and c1(n - 2) and (n - 2) * gamma != n * gamma:
+        n -= 2
+    while not c1(n):
+        n = max(n + 2, int(math.nextafter(n, math.inf)) | 1)  # n + 2 below 2^53
+    return n
 
 
 def _plane_rows(dp: ClassADensityParams) -> tuple[tuple[float, ...], ...]:
@@ -303,12 +320,16 @@ def sample_off_plane(
 
 
 def _sweep_report(
-    claim: str, context: dict, field: VectorFieldSpec, density: DensitySpec,
-    pts: Array, excl: float, tol: float,
+    claim: str, context: dict, field: VectorFieldSpec, rows: Sequence[Sequence[float]],
+    exponents: tuple[float, float], n_points: int, seed: int, tol: float,
 ) -> dict:
-    """Stationarity report over the sample points pts: the worst ratio of
-    the residual to its local scale, passing when it is at most tol. The
-    context entries follow the claim."""
+    """Stationarity report of the density prod_i |<rows[i], x>|^exponents[i]
+    against field: the worst ratio of the residual to its local scale at
+    n_points points off the forms' zero sets, passing when it is at most tol;
+    density, radius and points all read this one table. Context follows claim."""
+    excl = _fd_exclusion(exponents, tol)
+    pts = _sample_off_zero_set(rows, n_points, seed, _ANNULUS, excl)
+    density = power_product(rows, exponents, "zero sets of the swept forms")
     res, scale = _residual_and_scale(field, density, pts)
     worst = float(np.max(np.abs(res) / scale))
     return {
@@ -334,12 +355,10 @@ def residual_sweep(
     ratio to the local scale; pass means max ratio <= tol.
     """
     dp = density_params(params)
-    excl = exclusion_radius(dp, tol=tol)
-    pts = sample_off_plane(params, dp, n_points, seed, excl=excl)
     return _sweep_report(
         "div(M X) = 0 off the invariant planes",
-        {"params": params.to_dict(), "density": asdict(dp)},
-        vector_field(params), density_spec(params, dp), pts, excl, tol,
+        {"params": params.to_dict(), "density": asdict(dp)}, vector_field(params),
+        _plane_rows(dp), (dp.exp_plus, dp.exp_minus), n_points, seed, tol,
     )
 
 
@@ -379,13 +398,11 @@ def plane_defect_sweep(
 
 def fixture2d_residual_sweep(n_points: int = 4096, seed: int = 0, tol: float = 1e-6) -> dict:
     """Stationarity sweep for the plane fixture, M = |x1|^5 |x2|^2 against
-    (dx1, dx2) = (-x1, 2 x2); the main density's sampler and exclusion policy
-    on the axes, rows of eye(2), with the fixture's exponents (degree 7 at 0)."""
-    excl = _fd_exclusion(EXAMPLE2D_EXPONENTS, tol)
-    pts = _sample_off_zero_set(np.eye(2), n_points, seed, _ANNULUS, excl)
+    (dx1, dx2) = (-x1, 2 x2): the main density's sweep on the fixture's
+    factor table EXAMPLE2D_FACTORS (degree 7 at 0)."""
     return _sweep_report(
         "div(M X) = 0 off the coordinate axes (plane fixture)", {},
-        example2d(), example2d_density(), pts, excl, tol,
+        example2d(), *EXAMPLE2D_FACTORS, n_points, seed, tol,
     )
 
 

@@ -75,6 +75,11 @@ class TestValidate:
         l1, l2, l3 = pstar.lam
         assert l1 == 3.5 and l2 == 2.5 and l3 == 1.0
 
+    def test_lam_is_the_moment_triple(self, rng):
+        for _ in range(50):
+            p = draw_params(rng)
+            assert p.lam == (p.I1 + p.K1, p.I2 + p.K1, p.I3)
+
 
 class TestLoadParams:
     def test_from_file(self, tmp_path):

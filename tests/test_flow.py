@@ -1,3 +1,4 @@
+import ast
 import math
 import subprocess
 import sys
@@ -435,6 +436,19 @@ class TestDenseOutput:
         assert s["nfev"] == 2 + 12 * (179 + 28) + 3 * 179
         assert 0.0 < s["h_min"] <= s["h_max"] <= 100.0
 
+    @pytest.mark.parametrize("which, T", [
+        ("pstar", 100.0), ("pstar", -40.0), ("pstar_full", 40.0),
+    ])
+    def test_dense_run_counts_its_dense_stages(self, which, T, request):
+        # both callers of _dense_run: 2 rates at the start, 12 per attempt
+        # and 3 dense-output stages per accepted step
+        p = request.getfixturevalue(which)
+        traj = simulate(p, np.array([0.3, -0.4, 0.5]), T, tol=1e-10)
+        for s in (traj.integrator_stats, reconstruct(p, traj).integrator_stats):
+            n_acc, n_rej = s["n_accepted"], s["n_rejected"]
+            assert n_acc > 0
+            assert s["nfev"] == 2 + 12 * (n_acc + n_rej) + 3 * n_acc
+
 
 class TestFloatPath:
     """One state steps on Python floats through the spec's point slot; a
@@ -823,6 +837,23 @@ def test_scipy_dop853_tableau_guard():
         mine, theirs = getattr(own, name), getattr(c, name)
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
+
+
+def test_dense_output_is_built_by_dense_run_alone():
+    # every scalar run that samples an interpolant goes through _dense_run;
+    # the stepper runs bare only where no interpolant is sampled
+    callers = {
+        "_dop853_interpolant": {"_dense_run"},
+        "_dop853_steps": {"_dense_run", "integrate_batch", "flow_map_with_jacobian"},
+    }
+    seen = {name: set() for name in callers}
+    for top in ast.parse(Path(flow.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func).rpartition(".")[2]
+                if name in callers:
+                    seen[name].add(getattr(top, "name", "<module>"))
+    assert seen == callers
 
 
 def test_missing_tableau_file_is_an_import_error(monkeypatch, tmp_path):

@@ -11,6 +11,8 @@ from suslovkit.core import validate, vector_field
 from suslovkit.fields import DensitySpec, VectorFieldSpec, divergence, fd_gradient
 from suslovkit.measures import (
     ClassADensityParams,
+    _least_c1_n,
+    _plane_rows,
     _rejection_sample,
     _sweep_report,
     classA_measure_exists,
@@ -68,7 +70,7 @@ class TestDensityParams:
         for _ in range(100):
             p = draw_params(rng, a2=0.0)
             dp = density_params(p)
-            assert dp.R > abs(p.a1 * p.K3 * p.lam3)
+            assert dp.R > abs(p.a1 * p.K3 * p.lam[2])
             assert dp.gamma > 0
             assert dp.xi_plus > dp.xi_minus
             assert dp.n % 2 == 1
@@ -118,11 +120,50 @@ class TestDensityParams:
         (dict(R=0.0), "R and gamma must be positive"),
         (dict(gamma=-1.0), "R and gamma must be positive"),
         (dict(gamma=0.5), "exponents n-1 and n\\*gamma-1 must be at least 1"),
-    ], ids=["R=0", "gamma<0", "n*gamma<2"])
+        (dict(R=math.inf), "must be finite, got \\{'R': inf\\}"),
+        (dict(xi_plus=math.inf), "must be finite, got \\{'xi_plus': inf\\}"),
+        (dict(xi_minus=-math.inf), "must be finite, got \\{'xi_minus': -inf\\}"),
+        (dict(gamma=math.nan), "must be finite, got \\{'gamma': nan\\}"),
+    ], ids=["R=0", "gamma<0", "n*gamma<2", "R=inf", "xi_plus=inf", "xi_minus=-inf",
+            "gamma=nan"])
     def test_unusable_constructor_value_is_named(self, kw, named):
         with pytest.raises(ValueError, match=named):
             ClassADensityParams(**{"R": 1.0, "xi_plus": 0.5, "xi_minus": -0.5,
                                    "gamma": 1.0, "n": 3, **kw})
+
+    @staticmethod
+    def _searched_n(gamma):
+        # the search density_params ran before n was computed
+        n = 3
+        while n * gamma - 1.0 < 1.0:
+            n += 2
+        return n
+
+    def test_n_is_the_searchs_n(self):
+        # log-uniform gamma, and the boundary values 2/k with both float
+        # neighbours, where exact arithmetic and the float search disagree
+        gammas = list(10.0 ** np.random.default_rng(8).uniform(-3.0, 3.0, 2000))
+        for k in range(1, 1500):
+            g = 2.0 / k
+            gammas += [math.nextafter(g, 0.0), g, math.nextafter(g, 4.0)]
+        for g in gammas:
+            assert _least_c1_n(g) == self._searched_n(g), g
+
+    @pytest.mark.parametrize("system", [
+        (1.0 + 1e-9, 1.0, 0.9, 0.0, 20.0), (3.0, 2.0, 1.0, 0.5, 1e8), (3.0, 2.0, 1.0, 0.5, 1e150),
+    ], ids=["d=1e-9", "K3=1e8", "K3=1e150"])
+    def test_n_of_a_tiny_gamma_is_computed(self, system):
+        # the search took O(1/gamma) steps: about 1.7e11 on the first set;
+        # the constructor checks that n makes both exponents at least 1
+        dp = density_params(validate(*system, a1=1.0, a2=0.0))
+        assert dp.n % 2 == 1 and dp.exp_minus >= 1.0
+        if dp.n < 2 ** 53:
+            assert (dp.n - 2) * dp.gamma - 1.0 < 1.0
+
+    def test_overflowing_density_params_name_gamma(self):
+        # at K3 = 1e200, A^2 overflows: R = inf and gamma = inf / inf = nan
+        with pytest.raises(ValueError, match="must be finite.*'gamma': nan"):
+            density_params(validate(3.0, 2.0, 1.0, 0.5, 1e200, a1=1.0, a2=0.0))
 
 
 class TestDensityM:
@@ -251,15 +292,15 @@ class TestResidualSweep:
 
     def test_density_times_F_powers_remain_stationary(self, pstar):
         # M |F|^k is the family member n + k: its density, exclusion radius
-        # and samples all read that one member, so its larger exponents
-        # widen the radius (k = 10 needs 0.144 where n needs 0.0114)
+        # and samples all read that one member's factor table, so its larger
+        # exponents widen the radius (k = 10 needs 0.144 where n needs 0.0114)
         dp = density_params(pstar)
         for k in (1, 2, 10):
             member = replace(dp, n=dp.n + k)
-            dens = density_spec(pstar, member)
-            excl = exclusion_radius(member)
-            pts = sample_off_plane(pstar, member, 20000, 1, excl=excl)
-            report = _sweep_report("M |F|^k", {}, vector_field(pstar), dens, pts, excl, 1e-6)
+            report = _sweep_report(
+                "M |F|^k", {}, vector_field(pstar), _plane_rows(member),
+                (member.exp_plus, member.exp_minus), 20000, 1, 1e-6,
+            )
             assert report["exclusion_radius"] == exclusion_radius(member) > exclusion_radius(dp)
             assert report["max_residual"] <= 1e-7, f"k={k}: {report['max_residual']}"
 
@@ -475,15 +516,15 @@ def test_fixture2d_sweep_machine_level():
 def test_fixture2d_sweep_samples_the_annulus_off_the_axes(monkeypatch):
     # the fixture's points come from the class-A sampler, rows eye(2)
     seen = {}
-    report_of = measures._sweep_report
+    residual_of = measures._residual_and_scale
 
-    def spy(claim, context, field, density, pts, excl, tol):
-        seen.update(pts=pts, excl=excl)
-        return report_of(claim, context, field, density, pts, excl, tol)
+    def spy(field, density, x):
+        seen.update(pts=x)
+        return residual_of(field, density, x)
 
-    monkeypatch.setattr(measures, "_sweep_report", spy)
-    fixture2d_residual_sweep(n_points=2000, seed=4)
-    pts, excl = seen["pts"], seen["excl"]
+    monkeypatch.setattr(measures, "_residual_and_scale", spy)
+    excl = fixture2d_residual_sweep(n_points=2000, seed=4)["exclusion_radius"]
+    pts = seen["pts"]
     nrm = np.linalg.norm(pts, axis=1)
     assert len(pts) == 2000
     assert np.all((nrm > 0.3) & (nrm < 2.0))
