@@ -18,7 +18,9 @@ import numpy as np
 
 from .core import SuslovParams, energy, load_params, vector_field
 from .equilibria import classify
-from .fields import _check_sample_count, example2d, example2d_density, power_product
+from .fields import (
+    _check_positive, _check_sample_count, example2d, example2d_density, power_product,
+)
 from .flow import (
     IntegrationError,
     measure_transport_check,
@@ -27,7 +29,6 @@ from .flow import (
     simulate,
 )
 from .measures import (
-    _check_tol,
     classA_measure_exists,
     density_params,
     density_spec,
@@ -142,9 +143,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _require_params(args)
     omega0 = _parse_floats(args.omega0, 3, "--omega0")
-    record = None
-    if args.samples:
-        record = np.linspace(0.0, args.T, args.samples)[1:]
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    record = np.linspace(0.0, args.T, args.samples)[1:] if args.samples else None
     traj = simulate(
         params, omega0, args.T, tol=args.tol,
         record_times=record, project_energy=args.project_energy,
@@ -183,9 +184,8 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     if not args.out:
         raise ValueError("--out directory is required for portrait output")
     # the bundle runs from -T to T; a negative horizon would run it backwards
-    if not (np.isfinite(args.T) and args.T > 0.0):
-        raise ValueError(f"--T must be finite and positive, got {args.T}")
-    _check_tol(args.tol)
+    _check_positive(args.T, "--T")
+    _check_positive(args.tol, "tol")
     _check_sample_count(args.samples)
     ics = sample_ellipsoid(params, args.eta, args.samples, args.seed)
     outdir = Path(args.out)
@@ -230,7 +230,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # every target echoes both options, and the a2 != 0 witness reads neither
-    _check_tol(args.tol)
+    _check_positive(args.tol, "tol")
     _check_sample_count(args.samples)
     config = {"target": args.target}
     if args.target == "suslov":

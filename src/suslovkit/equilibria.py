@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SuslovParams, _vector_field, energy, matrices, vector_field
-from .fields import Array, VectorFieldSpec
+from .fields import Array, VectorFieldSpec, _check_positive
 
 
 class Classification(str, Enum):
@@ -81,16 +81,10 @@ def _checked_zero(field: VectorFieldSpec, v: Array) -> Array:
     return v
 
 
-def _check_energy_level(eta: float) -> None:
-    """Raise ValueError unless eta is finite and positive."""
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-
-
 def scale_to_ellipsoid(params: SuslovParams, v: Array, eta: float, sign: int = 1) -> Array:
     """Scale v onto the energy ellipsoid E = eta; sign selects the antipode."""
     v = np.asarray(v, dtype=float)
-    _check_energy_level(eta)
+    _check_positive(eta, "eta")
     e = float(energy(params, v))
     if e == 0.0:
         raise ValueError("cannot scale the zero vector onto an ellipsoid")

@@ -78,7 +78,7 @@ def power_product(
     rows: Sequence[Sequence[float]], exponents: Sequence[float], zero_set_description: str
 ) -> DensitySpec:
     """The density prod_i |<rows[i], x>|^exponents[i] (1 with no rows) over
-    linear_forms(rows), C1 when every exponent is at least 1. The product
+    linear_forms(rows), C1 when _is_c1(exponents). The product
     starts from its first factor, and a (d,) point is evaluated as a batch
     of one row, so it gets the bits of the same row in any batch."""
     if len(rows) != len(exponents) or not all(any(row) for row in rows):
@@ -93,8 +93,13 @@ def power_product(
             return np.ones(x.shape[:-1])
         return reduce(mul, (np.abs(u) ** k for u, k in zip(forms(x), powers)))
 
-    c1 = all(k >= 1.0 for k in powers)
+    c1 = _is_c1(powers)
     return DensitySpec(evaluate, zero_set_description, "C1" if c1 else "measurable-only")
+
+
+def _is_c1(exponents: Sequence[float]) -> bool:
+    """Whether prod_i |f_i|^k_i over transversal factors is C1: each k_i is 0 or above 1."""
+    return all(k == 0.0 or k > 1.0 for k in exponents)
 
 
 def _row_norms(x: Array) -> Array:
@@ -120,6 +125,12 @@ def _check_sample_count(count: int, what: str = "sample count") -> None:
     """Raise ValueError, naming what, unless count is at least 1."""
     if count < 1:
         raise ValueError(f"{what} must be at least 1, got {count}")
+
+
+def _check_positive(value: float, what: str) -> None:
+    """Raise ValueError, naming what, unless value is finite and positive."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
 def fd_step(x: Array) -> Array:

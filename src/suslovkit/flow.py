@@ -15,10 +15,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
-from .equilibria import _check_energy_level, equilibrium_directions, scale_to_ellipsoid
+from .equilibria import equilibrium_directions, scale_to_ellipsoid
 from .fields import (
-    Array, DensitySpec, VectorFieldSpec, _check_sample_count, _row_norms, _trace,
-    divergence, fd_jacobian, seeded_generator,
+    Array, DensitySpec, VectorFieldSpec, _check_positive, _check_sample_count, _row_norms,
+    _trace, divergence, fd_jacobian, seeded_generator,
 )
 
 
@@ -192,8 +192,7 @@ def _dop853_steps(
     if not np.isfinite(t1):
         raise ValueError(f"{what}: end time must be finite, got {t1}")
     for name, value in (("tol", tol), ("atol", atol)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"{what}: {name} must be finite and positive, got {value}")
+        _check_positive(value, f"{what}: {name}")
     n_accepted = n_rejected = nfev = 0
     h_min, h_max = math.inf, 0.0
 
@@ -780,7 +779,7 @@ def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) ->
     be at least 1.
     """
     _check_sample_count(count, "count")
-    _check_energy_level(eta)
+    _check_positive(eta, "eta")
     L = np.linalg.cholesky(matrices(params).Ka)
     rng = seeded_generator(seed)
     g = rng.standard_normal((count, 3))
@@ -845,14 +844,13 @@ def detect_attractor(
     tolerance tol, below which a converged sample's distance is noise.  Slow
     transit near a saddle shows a growing envelope and fails. candidates
     must hold at least one point, samples must be at least 1, T finite and
-    nonzero, capture_radius positive and metric "euclidean" or "angular", or
-    ValueError is raised before any draw.
+    nonzero, capture_radius finite and positive, and metric "euclidean" or
+    "angular", or ValueError is raised before any draw.
     """
     _check_sample_count(samples, "samples")
     if not (np.isfinite(T) and T != 0.0):
         raise ValueError(f"T must be finite and nonzero, got {T}")
-    if not capture_radius > 0.0:
-        raise ValueError(f"capture_radius must be positive, got {capture_radius}")
+    _check_positive(capture_radius, "capture_radius")
     if metric not in ("euclidean", "angular"):
         raise ValueError("metric must be 'euclidean' or 'angular'")
     labels = tuple(lbl for lbl, _ in candidates)

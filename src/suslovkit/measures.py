@@ -7,8 +7,8 @@ For a2 = 0 the planes pi+-: O1 - xi_pm O3 = 0 are flow invariant and
     M(Omega) = |O1 - xi_+ O3|^(n-1) |O1 - xi_- O3|^(n gamma - 1)
 
 is stationary: div(M X) = 0 away from the planes, and C1 once both
-exponents are >= 1. n is the family parameter: density_params computes the
-smallest odd n >= 3 making M C1, and M |F|^k (F below) is the member n + k.
+exponents exceed 1. n is the family parameter: density_params computes the
+least odd n >= 3 with both above 1, and M |F|^k (F below) is the member n + k.
 """
 from __future__ import annotations
 
@@ -25,7 +25,9 @@ from .fields import (
     EXAMPLE2D_FACTORS,
     FD_STEP_UNIT,
     VectorFieldSpec,
+    _check_positive,
     _check_sample_count,
+    _is_c1,
     _jacobian,
     _row_norms,
     _trace,
@@ -74,8 +76,8 @@ class ClassADensityParams:
             raise ValueError("R and gamma must be positive")
         if self.xi_plus <= self.xi_minus:
             raise ValueError("xi_plus must exceed xi_minus")
-        if self.n - 1 < 1 or self.n * self.gamma - 1 < 1:
-            raise ValueError("exponents n-1 and n*gamma-1 must be at least 1")
+        if not _is_c1(k := (self.exp_plus, self.exp_minus)):
+            raise ValueError(f"exponents n-1 and n*gamma-1 must each be 0 or above 1, got {k}")
 
     @property
     def exp_plus(self) -> float:
@@ -113,34 +115,33 @@ def density_params(params: SuslovParams) -> ClassADensityParams:
     N = 4.0 * (l1 + a1 * a1 * K3) * l3 * (l1 - l2) * (l2 - l3)
     R = float(np.sqrt(A * A + N))
     den = 2.0 * (l1 - l2) * (l1 + a1 * a1 * K3)
-    gamma = (R - A) / (R + A)
-    xi_plus, xi_minus = (A + R) / den, (A - R) / den
-    # R - |A| cancels once |A| > R / 2 (below that it at most doubles R's
-    # rounding error, and the direct forms round fewer times); there
-    # N = R^2 - A^2 = (R - A)(R + A) gives it without loss
-    if A > 0.5 * R:
-        gamma = N / (R + A) ** 2
-        xi_minus = -N / ((R + A) * den)
-    elif A < -0.5 * R:
-        gamma = (R - A) ** 2 / N
-        xi_plus = N / ((R - A) * den)
-    return ClassADensityParams(R, xi_plus, xi_minus, gamma, _least_c1_n(gamma))
+    # from R + |A| = 2^512 the squares below overflow (Python's float **
+    # raises), so there they run on (A, R, N) / (8, 8, 64): exact, gamma is
+    # free of the scale and xi is scaled back. R - |A| cancels once |A| > R/2
+    # (below that it at most doubles R's rounding error, and the direct forms
+    # round fewer times); there N = (R - A)(R + A) gives it without loss
+    c = 8.0 if R + abs(A) >= 2.0 ** 512 else 1.0
+    a, r, m = A / c, R / c, N / (c * c)
+    xi_plus, xi_minus = (a + r) / den, (a - r) / den
+    if a > 0.5 * r:
+        gamma, xi_minus = m / (r + a) ** 2, -m / ((r + a) * den)
+    elif a < -0.5 * r:
+        gamma, xi_plus = (r - a) ** 2 / m, m / ((r - a) * den)
+    else:
+        gamma = (r - a) / (r + a)
+    return ClassADensityParams(R, c * xi_plus, c * xi_minus, gamma, _least_c1_n(gamma))
 
 
 def _least_c1_n(gamma: float) -> int:
-    """The n at which the search n = 3, 5, 7, ... for n gamma - 1 >= 1 stops,
-    in a few steps for every gamma: the odd ceiling of 2 / gamma, moved by
-    guard steps of 2 that absorb its rounding, down while n - 2 changes
-    n gamma and up at least to the next float. Where 2 / gamma is not finite
-    and positive no n exists, and 3 leaves ClassADensityParams to reject it."""
-    bound = 2.0 / gamma if gamma > 0.0 else math.nan
-    if not math.isfinite(bound):
+    """The n at which the search n = 3, 5, 7, ... for n gamma - 1 > 1 stops,
+    in a few steps: up from the odd ceiling of 2 / gamma by 2, or to the next
+    float. No smaller n passes, as that needs an integer between 2 / gamma
+    and its rounding below 2^53, and n - 2 and n round alike above. Where
+    2 / gamma is not finite and positive, 3 leaves the constructor to refuse."""
+    if not (gamma > 0.0 and math.isfinite(bound := 2.0 / gamma)):
         return 3
-    c1 = lambda m: m * gamma - 1.0 >= 1.0
     n = max(3, 2 * math.ceil((bound - 1.0) / 2.0) + 1)
-    while n > 3 and c1(n - 2) and (n - 2) * gamma != n * gamma:
-        n -= 2
-    while not c1(n):
+    while not _is_c1((n - 1.0, n * gamma - 1.0)):
         n = max(n + 2, int(math.nextafter(n, math.inf)) | 1)  # n + 2 below 2^53
     return n
 
@@ -219,16 +220,10 @@ def residual_scale(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Ar
     return _residual_and_scale(field, density, x)[1]
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValueError unless tol is finite and positive."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
 def _fd_exclusion(exponents: tuple[float, float], tol: float) -> float:
     """Exclusion radius for a density with these two factor exponents, at a
     finite positive tolerance tol."""
-    _check_tol(tol)
+    _check_positive(tol, "tol")
     C = max(abs((q - 1.0) * (q - 2.0)) for q in (*exponents, sum(exponents)))
     return FD_STEP_UNIT * float(np.sqrt(C * _EXCLUSION_SAFETY / (6.0 * tol)))
 
@@ -370,10 +365,11 @@ def plane_defect_sweep(
 ) -> dict:
     """Check flow invariance of pi+- at n_points on-plane sample points,
     ceil(n_points / 2) on pi+ and floor(n_points / 2) on pi-: the defect
-    |<row, X>| = |X1 - xi X3| must stay below tol * |X|. Each plane needs a
-    point, so n_points below 2 is a ValueError."""
+    |<row, X>| = |X1 - xi X3| must stay below tol * |X|, tol finite and
+    positive. Each plane needs a point, so n_points below 2 is a ValueError."""
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}: one point per plane")
+    _check_positive(tol, "tol")
     dp = density_params(params)
     field = vector_field(params)
     rng = seeded_generator(seed)

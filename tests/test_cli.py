@@ -299,6 +299,15 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_negative_samples_is_named(self, params_file, tmp_path, capsys):
+        # 0 keeps meaning the accepted step points; below it is an error
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--params", params_file("p", 1.0, 0.0), "--omega0",
+                     "1,1,1", "--T", "1", "--samples", "-5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --samples must be at least 0, got -5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, named", [
         ("--T=nan", "end time must be finite"),
         ("--tol=-1", "tol must be finite and positive"),
@@ -346,9 +355,13 @@ class TestPortrait:
         ("--T=nan", "--T must be finite and positive"),
         ("--T=inf", "--T must be finite and positive"),
         ("--tol=0", "tol must be finite and positive"),
-        ("--eta=-1", "eta must be positive"),
-        ("--eta=nan", "eta must be positive and finite, got nan"),
-        ("--eta=inf", "eta must be positive and finite, got inf"),
+        # ids kept from when the eta message read "positive and finite"
+        pytest.param("--eta=-1", "eta must be finite and positive, got -1.0",
+                     id="--eta=-1-eta must be positive"),
+        pytest.param("--eta=nan", "eta must be finite and positive, got nan",
+                     id="--eta=nan-eta must be positive and finite, got nan"),
+        pytest.param("--eta=inf", "eta must be finite and positive, got inf",
+                     id="--eta=inf-eta must be positive and finite, got inf"),
     ])
     def test_bad_option_is_an_error_before_any_output(self, params_file, tmp_path,
                                                       capsys, option, named):
@@ -459,6 +472,19 @@ class TestVerify:
                                  "K3": 20.0, "a1": 1.0, "a2": 0.0}))
         assert main(["verify", "suslov", "--params", str(f)]) == 2
         assert "exclusion radius 26.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a1", [1.0, -1.0])
+    def test_square_overflow_set_is_an_error_not_a_traceback(self, tmp_path, capsys, a1):
+        # at K3 = 1e154, (R + |A|)^2 overflows, which raised OverflowError
+        # (a1 = 1) and ZeroDivisionError (a1 = -1, where R + A = 0); gamma is
+        # now finite, and the sweep fails by its exclusion radius instead
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"I1": 3.0, "I2": 2.0, "I3": 1.0, "K1": 0.5,
+                                 "K3": 1e154, "a1": a1, "a2": 0.0}))
+        assert main(["verify", "suslov", "--params", str(f), "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: only 0 of 10 sample points clear the exclusion")
+        assert len(err.splitlines()) == 1
 
     # the a2 != 0 set takes the witness path, which reads neither option
     @pytest.mark.parametrize("target, a2", [

@@ -98,7 +98,7 @@ class TestScaleToEllipsoid:
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, -1.0])
     def test_energy_level_must_be_finite_and_positive(self, pstar, eta):
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
             scale_to_ellipsoid(pstar, np.array([0.0, 0.0, 1.0]), eta)
 
     def test_zero_direction_rejected(self, pstar):

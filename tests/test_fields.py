@@ -11,6 +11,8 @@ from suslovkit.fields import (
     FD_STEP_UNIT,
     DensitySpec,
     VectorFieldSpec,
+    _check_positive,
+    _is_c1,
     _row_norms,
     _trace,
     divergence,
@@ -116,7 +118,10 @@ def test_point_is_its_batch_row_bit_for_bit(pstar, which):
 
 def test_power_product_class_follows_its_exponents():
     rows = ((1.0, 0.0), (0.0, 1.0))
-    assert power_product(rows, (1.0, 3.5), "axes").differentiability_class == "C1"
+    # |u|^1 has a kink on u = 0, and |u|^0 is the constant 1
+    assert power_product(rows, (1.0, 3.5), "axes").differentiability_class == \
+        "measurable-only"
+    assert power_product(rows, (0.0, 2.0), "axes").differentiability_class == "C1"
     assert power_product(rows, (1.0, 0.5), "axes").differentiability_class == \
         "measurable-only"
     assert power_product(rows, (-0.5, 2.0), "axes").differentiability_class == \
@@ -258,6 +263,39 @@ def test_no_axis_norm_in_the_package():
                     and any(kw.arg == "axis" for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"np.linalg.norm(..., axis=...) at {found}; use fields._row_norms"
+
+
+def test_one_density_constructor_and_one_positivity_check():
+    # DensitySpec is built by power_product alone, and a "finite and
+    # positive" error is raised by _check_positive alone
+    src = Path(__file__).resolve().parent.parent / "src" / "suslovkit"
+    owners = {"DensitySpec(": set(), "finite and positive": set()}
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "DensitySpec":
+                    owners["DensitySpec("].add(owner)
+                if isinstance(node, ast.Raise) and "finite and positive" in ast.unparse(node):
+                    owners["finite and positive"].add(owner)
+    assert owners == {"DensitySpec(": {"fields.power_product"},
+                      "finite and positive": {"fields._check_positive"}}
+
+
+@pytest.mark.parametrize("exponents, c1", [
+    ((0.0,), True), ((1.0,), False), ((math.nextafter(1.0, 2.0),), True),
+    ((0.5,), False), ((-0.5,), False), ((), True),
+], ids=["0", "1", "above 1", "0.5", "-0.5", "no factor"])
+def test_is_c1_wants_each_exponent_zero_or_above_one(exponents, c1):
+    # |u|^k is C1 across u = 0 exactly when k = 0 or k > 1: |u| has a kink
+    assert _is_c1(exponents) is c1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_check_positive_names_what_it_refuses(value):
+    with pytest.raises(ValueError, match=f"^width must be finite and positive, got {value}$"):
+        _check_positive(value, "width")
+    _check_positive(5e-324, "width")
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])

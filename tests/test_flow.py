@@ -547,9 +547,9 @@ class TestSampleEllipsoid:
     def test_energy_level_must_be_finite_and_positive(self, pstar_full, eta):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="eta must be positive and finite"):
+            with pytest.raises(ValueError, match="eta must be finite and positive"):
                 sample_ellipsoid(pstar_full, eta, 5, seed=1)
-            with pytest.raises(ValueError, match="eta must be positive and finite"):
+            with pytest.raises(ValueError, match="eta must be finite and positive"):
                 suslov_attractor_probe(pstar_full, eta=eta, samples=5, T=1.0)
 
     @pytest.mark.parametrize("count", [0, -1])
@@ -939,9 +939,10 @@ class TestDetectAttractor:
         (dict(samples=0), "samples must be at least 1, got 0"),
         (dict(T=0.0), "T must be finite and nonzero, got 0.0"),
         (dict(T=np.inf), "T must be finite and nonzero, got inf"),
-        (dict(capture_radius=np.nan), "capture_radius must be positive, got nan"),
-        (dict(capture_radius=-0.1), "capture_radius must be positive, got -0.1"),
-    ], ids=["samples=0", "T=0", "T=inf", "radius=nan", "radius<0"])
+        (dict(capture_radius=np.nan), "capture_radius must be finite and positive, got nan"),
+        (dict(capture_radius=-0.1), "capture_radius must be finite and positive, got -0.1"),
+        (dict(capture_radius=np.inf), "capture_radius must be finite and positive, got inf"),
+    ], ids=["samples=0", "T=0", "T=inf", "radius=nan", "radius<0", "radius=inf"])
     def test_unusable_probe_is_named_before_any_draw(self, pstar_full, monkeypatch, kw,
                                                      named):
         def no_draw(*args):

@@ -119,7 +119,8 @@ class TestDensityParams:
     @pytest.mark.parametrize("kw, named", [
         (dict(R=0.0), "R and gamma must be positive"),
         (dict(gamma=-1.0), "R and gamma must be positive"),
-        (dict(gamma=0.5), "exponents n-1 and n\\*gamma-1 must be at least 1"),
+        (dict(gamma=0.5), "exponents n-1 and n\\*gamma-1 must each be 0 or above 1, "
+                          "got \\(2.0, 0.5\\)"),
         (dict(R=math.inf), "must be finite, got \\{'R': inf\\}"),
         (dict(xi_plus=math.inf), "must be finite, got \\{'xi_plus': inf\\}"),
         (dict(xi_minus=-math.inf), "must be finite, got \\{'xi_minus': -inf\\}"),
@@ -133,9 +134,10 @@ class TestDensityParams:
 
     @staticmethod
     def _searched_n(gamma):
-        # the search density_params ran before n was computed
+        # the search for n gamma - 1 > 1 that density_params ran before n
+        # was computed, under the strict rule
         n = 3
-        while n * gamma - 1.0 < 1.0:
+        while n * gamma - 1.0 <= 1.0:
             n += 2
         return n
 
@@ -154,11 +156,47 @@ class TestDensityParams:
     ], ids=["d=1e-9", "K3=1e8", "K3=1e150"])
     def test_n_of_a_tiny_gamma_is_computed(self, system):
         # the search took O(1/gamma) steps: about 1.7e11 on the first set;
-        # the constructor checks that n makes both exponents at least 1
+        # the constructor checks that n makes both exponents exceed 1
         dp = density_params(validate(*system, a1=1.0, a2=0.0))
-        assert dp.n % 2 == 1 and dp.exp_minus >= 1.0
+        assert dp.n % 2 == 1 and dp.exp_minus > 1.0
         if dp.n < 2 ** 53:
             assert (dp.n - 2) * dp.gamma - 1.0 < 1.0
+
+    @pytest.mark.parametrize("gamma, n", [(0.4, 7), (2.0 / 3.0, 5)])
+    def test_an_exponent_of_one_is_not_c1(self, gamma, n):
+        # at n - 2, n gamma - 1 rounds to exactly 1, and |u-|^1 has a kink
+        assert (n - 2) * gamma - 1.0 == 1.0
+        assert _least_c1_n(gamma) == n == self._searched_n(gamma)
+        dp = ClassADensityParams(R=1.0, xi_plus=0.5, xi_minus=-0.5, gamma=gamma, n=n)
+        assert dp.exp_plus > 1.0 and dp.exp_minus > 1.0
+        with pytest.raises(ValueError, match="must each be 0 or above 1"):
+            ClassADensityParams(R=1.0, xi_plus=0.5, xi_minus=-0.5, gamma=gamma, n=n - 2)
+
+    @pytest.mark.parametrize("a1", [1.0, -1.0])
+    def test_gamma_past_the_square_overflow(self, a1):
+        # at K3 = 1e154, (R + |A|)^2 passes the largest float (Python's float
+        # ** raises there) and R + A = 0 at a1 = -1; the reference takes
+        # every value by a form without cancellation, to 60 digits
+        p = validate(3.0, 2.0, 1.0, 0.5, 1e154, a1=a1, a2=0.0)
+        l1, l2, l3 = (Fraction(v) for v in p.lam)
+        a, k3 = Fraction(p.a1), Fraction(p.K3)
+        A = a * k3 * l3
+        N = 4 * (l1 + a * a * k3) * l3 * (l1 - l2) * (l2 - l3)
+        den = 2 * (l1 - l2) * (l1 + a * a * k3)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+            R, A, N, den = dec(A * A + N).sqrt(), dec(A), dec(N), dec(den)
+            s = R + abs(A)
+            small = -N / (s * den) if a1 > 0 else N / (s * den)
+            exact = {"R": R, "gamma": N / (s * s) if a1 > 0 else s * s / N,
+                     "xi_plus": (A + R) / den if a1 > 0 else small,
+                     "xi_minus": small if a1 > 0 else (A - R) / den}
+            dp = density_params(p)
+            for name, value in exact.items():
+                rel = abs((Decimal(getattr(dp, name)) - value) / value)
+                assert rel <= Decimal("4e-16"), (name, rel)
+        assert dp.n % 2 == 1 and dp.exp_plus > 1.0 and dp.exp_minus > 1.0
 
     def test_overflowing_density_params_name_gamma(self):
         # at K3 = 1e200, A^2 overflows: R = inf and gamma = inf / inf = nan
@@ -566,3 +604,16 @@ def test_density_spec_powers_zero_set(pstar):
 def test_seed_out_of_range_is_named(pstar, sweep, seed):
     with pytest.raises(ValueError, match="seed must satisfy 0 <= seed < 2\\*\\*128"):
         sweep(pstar, seed)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda p, tol: exclusion_radius(density_params(p), tol),
+    lambda p, tol: residual_sweep(p, n_points=10, tol=tol),
+    lambda p, tol: fixture2d_residual_sweep(n_points=10, tol=tol),
+    lambda p, tol: plane_defect_sweep(p, n_points=10, tol=tol),
+], ids=["exclusion_radius", "residual_sweep", "fixture2d_residual_sweep",
+        "plane_defect_sweep"])
+def test_unusable_tol_is_named(pstar, check, tol):
+    with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {tol}$"):
+        check(pstar, tol)
