@@ -145,6 +145,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     omega0 = _parse_floats(args.omega0, 3, "--omega0")
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples == 1:
+        raise ValueError("--samples must be 0 for the accepted steps, or at least 2 "
+                         "for an even grid from 0 to T, got 1")
     record = np.linspace(0.0, args.T, args.samples)[1:] if args.samples else None
     traj = simulate(
         params, omega0, args.T, tol=args.tol,

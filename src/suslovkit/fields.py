@@ -26,7 +26,7 @@ EXAMPLE2D_FACTORS = (((1.0, 0.0), (0.0, 1.0)), (5.0, 2.0))
 class VectorFieldSpec:
     """Autonomous vector field on R^dim with an optional analytic Jacobian
     and an optional analytic divergence, div mapping (..., dim) to (...,).
-    A spec without div has its divergence from jac (see divergence).
+    A spec without div has its divergence from jac; one with neither has none.
     point, when given, is eval at one point on Python floats (a list of dim
     floats in, dim floats out, each bit-equal to eval's), which the scalar
     integrator calls per stage to skip numpy's call overhead."""
@@ -171,19 +171,16 @@ def _trace(J: Array) -> Array:
     return np.einsum("...ii->...", J)
 
 
-def _jacobian(spec: VectorFieldSpec, x: Array) -> Array:
-    """The field's analytic Jacobian when it has one, else central differences."""
-    x = np.asarray(x, dtype=float)
-    return spec.jac(x) if spec.jac is not None else fd_jacobian(spec.eval, x)
-
-
 def divergence(spec: VectorFieldSpec, x: Array) -> Array:
-    """Divergence of the field: the spec's own div when it has one, else
-    the trace of its Jacobian, or of the central-difference Jacobian of eval
-    when it has neither."""
+    """Divergence of the field: the spec's own div when it has one, else the
+    trace of its jac; with neither, a ValueError (central differences of eval
+    are an oracle, not a fallback)."""
+    x = np.asarray(x, dtype=float)
     if spec.div is not None:
-        return spec.div(np.asarray(x, dtype=float))
-    return _trace(_jacobian(spec, x))
+        return spec.div(x)
+    if spec.jac is None:
+        raise ValueError("the field's divergence needs its div or jac slot; it has neither")
+    return _trace(spec.jac(x))
 
 
 def example2d() -> VectorFieldSpec:

@@ -928,10 +928,6 @@ def _log_volume_flow(
     """Endpoints phi_t(x0) of a batch and their log-volumes log|det D phi_t(x0)|,
     from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0.
     The divergence is the field's div, or the trace of its jac."""
-    if field.div is None and field.jac is None:
-        raise ValueError(
-            "measure transport requires an analytic field divergence or Jacobian"
-        )
     dim = field.dim
 
     def evaluate(y: Array) -> Array:
@@ -991,11 +987,12 @@ def measure_transport_check(
     div X(phi_s(x)) ds, integrated as one extra state beside x; the
     variational route of flow_map_with_jacobian is its test oracle. Every t
     takes this path: at t = 0 the integration takes no step, so x_end = x
-    and l_end = 0. Needs N >= 2. Raises ValueError when the field has
-    neither div nor jac; when a box bound, the density at the box samples, a
-    transport weight, or a standard error is not finite; and when mu(A) is 0
-    or every transport weight is 0, as when M underflows on the box, since
-    no relative error exists then.
+    and l_end = 0. Needs N >= 2. Raises ValueError before any draw when the
+    field has neither div nor jac (central differences are only an oracle);
+    when a box bound, the density at the box samples, a transport weight,
+    or a standard error is not finite; and when mu(A) is 0 or every
+    transport weight is 0, as when M underflows on the box, since no
+    relative error exists then.
     """
     A = np.asarray(A, dtype=float)
     dim = field.dim
@@ -1008,6 +1005,8 @@ def measure_transport_check(
         raise ValueError("box must have positive widths")
     if N < 2:
         raise ValueError(f"N must be at least 2 for a standard error, got {N}")
+    if field.div is None and field.jac is None:
+        raise ValueError("measure transport requires an analytic field divergence or Jacobian")
     n_t = min(N, _TRANSPORT_MAX_SAMPLES)
     vol = float(np.prod(widths))
     rng = seeded_generator(seed)

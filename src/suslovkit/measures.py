@@ -28,7 +28,6 @@ from .fields import (
     _check_positive,
     _check_sample_count,
     _is_c1,
-    _jacobian,
     _row_norms,
     _trace,
     divergence,
@@ -124,12 +123,19 @@ def density_params(params: SuslovParams) -> ClassADensityParams:
     a, r, m = A / c, R / c, N / (c * c)
     xi_plus, xi_minus = (a + r) / den, (a - r) / den
     if a > 0.5 * r:
-        gamma, xi_minus = m / (r + a) ** 2, -m / ((r + a) * den)
+        gamma, xi_minus = m / (r + a) ** 2, -_quotient(m, r + a, den)
     elif a < -0.5 * r:
-        gamma, xi_plus = (r - a) ** 2 / m, m / ((r - a) * den)
+        gamma, xi_plus = (r - a) ** 2 / m, _quotient(m, r - a, den)
     else:
         gamma = (r - a) / (r + a)
     return ClassADensityParams(R, c * xi_plus, c * xi_minus, gamma, _least_c1_n(gamma))
+
+
+def _quotient(m: float, s: float, den: float) -> float:
+    """m / (s den), dividing by s and then den only where that product
+    overflows, which would flush the quotient to 0."""
+    product = s * den
+    return m / product if math.isfinite(product) else m / s / den
 
 
 def _least_c1_n(gamma: float) -> int:
@@ -185,10 +191,11 @@ def density_spec(
 def _residual_and_scale(
     field: VectorFieldSpec, density: DensitySpec, x: Array
 ) -> tuple[Array, Array]:
-    """div(M X) and its local scale at x, evaluating grad M, X, M and J once."""
+    """div(M X) and its local scale at x, evaluating grad M, X, M and jac J once."""
+    if field.jac is None:
+        raise ValueError("the stationarity residual needs the field's jac slot; it has none")
     x = np.asarray(x, dtype=float)
-    grad_M, X, M = fd_gradient(density.eval, x), field.eval(x), density.eval(x)
-    J = _jacobian(field, x)
+    grad_M, X, M, J = fd_gradient(density.eval, x), field.eval(x), density.eval(x), field.jac(x)
     # <grad M, X> by column adds: the bits of np.sum(grad_M * X, axis=-1)
     # without its reduction overhead or its (..., dim) product
     res = grad_M[..., 0] * X[..., 0]
@@ -208,8 +215,8 @@ def pde_residual(field: VectorFieldSpec, density: DensitySpec, x: Array) -> Arra
     """Stationarity residual sum_i d(M X_i)/dx_i at x.
 
     Split by the product rule as <grad M, X> + M div X, with the density
-    gradient by central finite differences and the field divergence from the
-    analytic Jacobian when available (halves the finite-difference error).
+    gradient by central finite differences and div X the trace of the
+    field's analytic jac; a field without jac is a ValueError.
     """
     return _residual_and_scale(field, density, x)[0]
 

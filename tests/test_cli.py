@@ -308,6 +308,24 @@ class TestSimulate:
         assert err == "error: --samples must be at least 0, got -5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples, times", [(1, None), (2, [0.0, 4.0]),
+                                                (3, [0.0, 2.0, 4.0])])
+    def test_samples_is_the_row_count(self, params_file, tmp_path, capsys, samples, times):
+        # N >= 2 samples are N rows on an even grid from 0 to T; one sample
+        # has no such grid, and 0 means the accepted steps
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--params", params_file("p", 1.0, 0.0), "--omega0",
+                   "1,1,1", "--T", "4", "--samples", str(samples), "--out", str(out)])
+        if times is None:
+            assert rc == 2 and not out.exists()
+            assert capsys.readouterr().err == (
+                "error: --samples must be 0 for the accepted steps, or at least 2 "
+                "for an even grid from 0 to T, got 1\n")
+            return
+        assert rc == 0
+        cols, rows = _read_csv(out)
+        assert rows[:, cols.index("t")].tolist() == times
+
     @pytest.mark.parametrize("option, named", [
         ("--T=nan", "end time must be finite"),
         ("--tol=-1", "tol must be finite and positive"),

@@ -216,10 +216,11 @@ def test_fd_gradient_batch_shape():
 def test_divergence_prefers_analytic_route():
     f = example2d()
     x = np.array([0.7, -1.3])
-    # linear field: both routes give the exact trace
     assert divergence(f, x) == pytest.approx(1.0, abs=1e-12)
+    # central differences of eval are an oracle, not a fallback
     bare = VectorFieldSpec(dim=2, eval=f.eval)
-    assert divergence(bare, x) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="div or jac"):
+        divergence(bare, x)
 
 
 def test_vector_field_spec_rejects_bad_dim():
@@ -280,6 +281,31 @@ def test_one_density_constructor_and_one_positivity_check():
                     owners["finite and positive"].add(owner)
     assert owners == {"DensitySpec(": {"fields.power_product"},
                       "finite and positive": {"fields._check_positive"}}
+
+
+def test_finite_differences_run_only_as_oracles():
+    # central differences of a field run in the Liouville oracle and, for
+    # the density, in the stationarity residual; no runtime Jacobian falls
+    # back to them
+    src = Path(__file__).resolve().parent.parent / "src" / "suslovkit"
+    callers = {"fd_jacobian": set(), "fd_gradient": set()}
+    defined = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func).rpartition(".")[2]
+                    if name in callers:
+                        callers[name].add(owner)
+                names = {getattr(node, "name", None), getattr(node, "asname", None)}
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                if "_jacobian" in names:
+                    defined.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert callers["fd_jacobian"] <= {"fields.fd_gradient", "flow.liouville_residual"}, callers
+    assert callers["fd_gradient"] <= {"measures._residual_and_scale"}, callers
+    assert not defined, f"_jacobian defined at {defined}"
 
 
 @pytest.mark.parametrize("exponents, c1", [

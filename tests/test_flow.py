@@ -1054,11 +1054,15 @@ class TestMeasureTransport:
             np.testing.assert_allclose(log_vol, t, rtol=0.0, atol=1e-12)
 
     def test_field_without_jacobian_rejected(self):
+        # an argument check, before the density sees any sample
+        seen = []
+        dens = DensitySpec(eval=lambda x: seen.append(x) or example2d_density().eval(x),
+                           zero_set_description="coordinate axes")
         bare = VectorFieldSpec(dim=2, eval=example2d().eval)
-        with pytest.raises(ValueError, match="Jacobian"):
-            measure_transport_check(bare, example2d_density(),
-                                    np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0, 100,
-                                    seed=1)
+        with pytest.raises(ValueError, match="divergence or Jacobian"):
+            measure_transport_check(bare, dens, np.array([[1.0, 2.0], [1.0, 2.0]]),
+                                    1.0, 100, seed=1)
+        assert seen == []
 
     def test_divergence_slot_alone_suffices(self, pstar):
         # the log-volume reads the field's div; jac is only its fallback

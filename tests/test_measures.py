@@ -198,6 +198,27 @@ class TestDensityParams:
                 assert rel <= Decimal("4e-16"), (name, rel)
         assert dp.n % 2 == 1 and dp.exp_plus > 1.0 and dp.exp_minus > 1.0
 
+    @pytest.mark.parametrize("a1", [1e102, -1e102])
+    def test_small_xi_survives_an_overflowing_product(self, a1):
+        # (R + |A|) den passes the largest float below the 2^512 scaling, and
+        # N / that product flushed the small xi to -0.0 (or 0.0); the
+        # reference takes the float inputs as rationals, to 50 digits
+        p = validate(3.0, 2.0, 1.0, 0.5, 10.0, a1=a1, a2=0.0)
+        l1, l2, l3 = (Fraction(v) for v in p.lam)
+        a, k3 = Fraction(p.a1), Fraction(p.K3)
+        A = a * k3 * l3
+        N = 4 * (l1 + a * a * k3) * l3 * (l1 - l2) * (l2 - l3)
+        den = 2 * (l1 - l2) * (l1 + a * a * k3)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+            s = dec(A * A + N).sqrt() + abs(dec(A))
+            exact = dec(N) / (s * dec(den))
+        dp = density_params(p)
+        small = -dp.xi_minus if a1 > 0 else dp.xi_plus
+        assert abs(Decimal(small) - exact) <= 2 * Decimal(math.ulp(float(exact)))
+        assert small > 0.0
+
     def test_overflowing_density_params_name_gamma(self):
         # at K3 = 1e200, A^2 overflows: R = inf and gamma = inf / inf = nan
         with pytest.raises(ValueError, match="must be finite.*'gamma': nan"):
@@ -302,6 +323,19 @@ class TestPdeResidual:
                            zero_set_description="empty")
         r = pde_residual(example2d(), ones, np.array([1.0, 1.0]))
         assert r == pytest.approx(1.0, abs=1e-9)
+
+    def test_field_without_jac_is_refused_before_differencing(self):
+        # div X is the trace of the analytic jac; central differences of eval
+        # are not a fallback, so the density is never evaluated
+        from suslovkit.fields import example2d, example2d_density
+        seen = []
+        dens = DensitySpec(eval=lambda x: seen.append(x) or example2d_density().eval(x),
+                           zero_set_description="coordinate axes")
+        bare = VectorFieldSpec(dim=2, eval=example2d().eval)
+        for route in (pde_residual, residual_scale):
+            with pytest.raises(ValueError, match="jac slot"):
+                route(bare, dens, np.array([1.0, 1.0]))
+        assert seen == []
 
     def test_euler_uniform_density_stationary(self, euler, rng):
         ones = DensitySpec(eval=lambda x: np.ones(np.asarray(x).shape[:-1]),
