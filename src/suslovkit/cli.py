@@ -19,7 +19,8 @@ import numpy as np
 from .core import SuslovParams, energy, load_params, vector_field
 from .equilibria import classify
 from .fields import (
-    _check_positive, _check_sample_count, example2d, example2d_density, power_product,
+    _check_positive, _check_sample_count, example2d, example2d_density, linear_forms,
+    power_product,
 )
 from .flow import (
     IntegrationError,
@@ -29,6 +30,7 @@ from .flow import (
     simulate,
 )
 from .measures import (
+    _plane_rows,
     classA_measure_exists,
     density_params,
     density_spec,
@@ -108,12 +110,23 @@ def _predicates(params: SuslovParams) -> dict:
 def _orbit_table(
     params: SuslovParams, times: np.ndarray, states: np.ndarray
 ) -> tuple[list[str], list[np.ndarray]]:
-    """Columns t, omega1..3 and E of an orbit, and F when a2 = 0."""
+    """Columns t, omega1..3 and E of an orbit, and when a2 = 0 the first
+    integral F and log_abs_F = log|u+| + gamma log|u-|, the planes' forms
+    u+- read through linear_forms. F overflows to inf where |u-|^gamma does,
+    as on sets with a large gamma, while log_abs_F stays finite wherever
+    u+ u- != 0; it is -inf where F = 0."""
     cols = ["t", "omega1", "omega2", "omega3", "E"]
     data = [times, *states.T, energy(params, states)]
     if classA_measure_exists(params):
-        cols.append("F")
-        data.append(first_integral_F(params, density_params(params), states))
+        dp = density_params(params)
+        u_plus, u_minus = linear_forms(_plane_rows(dp))(states)
+        # an F beyond the doubles is inf and log 0 is -inf: both are the
+        # values meant, and log_abs_F carries what F cannot
+        with np.errstate(over="ignore", divide="ignore"):
+            F = first_integral_F(params, dp, states)
+            log_abs_F = np.log(np.abs(u_plus)) + dp.gamma * np.log(np.abs(u_minus))
+        cols += ["F", "log_abs_F"]
+        data += [F, log_abs_F]
     return cols, data
 
 

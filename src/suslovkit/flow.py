@@ -87,6 +87,75 @@ class _Step(NamedTuple):
     y: list | Array
 
 
+class _FloatLeaves(NamedTuple):
+    """The one-state leaves for a state of d floats (see _float_leaves)."""
+
+    advance: Callable[[list, Array, float], list]
+    error_scale_for: Callable[[float, float], Callable[[list, list], Array]]
+    interpolate: Callable[[tuple, list, list], list]
+
+
+#: the one-state leaves by state dimension d, each built at its first use
+_FLOAT_LEAVES: dict[int, _FloatLeaves] = {}
+
+
+def _float_leaves(d: int) -> _FloatLeaves:
+    """The one-state leaves of _dop853_steps and DenseOutput._at for a state
+    of d floats, each sum written out term by term, component by component.
+
+    On Python 3.11 a comprehension over the components is a function call,
+    which at d = 3 costs more than the sums it runs, so the leaves are built
+    from source for each d, as dataclasses builds __init__, once, at first
+    use:
+    - advance(y, dy, h): the list y + dy h, for a list y and an array dy;
+    - error_scale_for(atol, tol): the leaf that maps the lists y and y_new to
+      the array atol + max(|y|, |y_new|) tol, whose max keeps np.maximum's
+      NaN (u if u > v or u != u else v);
+    - interpolate(P, y, F): the list y + (P[0] F[0] + ... + P[6] F[6]) for the
+      7 basis values P, a list y and the step's (7, d) coefficients F as one
+      list by rows.
+    Each component is formed by the float operations of the array form the
+    leaf stands for (the batch leaves of _dop853_steps, the sum of
+    DenseOutput.__call__), in the same order, so it has the same bits.
+    """
+    leaves = _FLOAT_LEAVES.get(d)
+    if leaves is None:
+        ys, zs, dys = (" ".join(f"{v}{i}," for i in range(d)) for v in ("y", "z", "d"))
+        n_p = _dop853.INTERPOLATOR_POWER
+        fs = " ".join(f"f{j}," for j in range(n_p * d))
+        ps = " ".join(f"p{j}," for j in range(n_p))
+        advanced = ", ".join(f"y{i} + d{i} * h" for i in range(d))
+        abs_yz = "; ".join(f"u{i} = abs(y{i}); v{i} = abs(z{i})" for i in range(d))
+        scales = ", ".join(f"atol + (u{i} if u{i} > v{i} or u{i} != u{i} else v{i}) * tol"
+                           for i in range(d))
+        sums = ", ".join(
+            f"y{i} + (" + " + ".join(f"p{j} * f{j * d + i}" for j in range(n_p)) + ")"
+            for i in range(d)
+        )
+        source = (
+            f"def advance(y, dy, h):\n"
+            f"    {ys} = y\n"
+            f"    {dys} = dy.tolist()\n"
+            f"    return [{advanced}]\n"
+            f"def error_scale_for(atol, tol):\n"
+            f"    def error_scale(y, y_new):\n"
+            f"        {ys} = y\n"
+            f"        {zs} = y_new\n"
+            f"        {abs_yz}\n"
+            f"        return array([{scales}])\n"
+            f"    return error_scale\n"
+            f"def interpolate(P, y, F):\n"
+            f"    {ps} = P\n"
+            f"    {ys} = y\n"
+            f"    {fs} = F\n"
+            f"    return [{sums}]\n"
+        )
+        namespace = {"array": np.array}
+        exec(source, namespace)
+        leaves = _FLOAT_LEAVES[d] = _FloatLeaves(*(namespace[f] for f in _FloatLeaves._fields))
+    return leaves
+
+
 def _sq_norms(x: Array) -> Array:
     """Sum of squares down axis 0, per column of a batch (d, n). For one state
     (d,), and for a batch of one, it is the x.dot(x) that np.linalg.norm
@@ -183,10 +252,15 @@ def _dop853_steps(
     each round as scipy does, and each stage is rhs at the stage state
     advance(y, dy, h) = y + h dy. One state runs on Python floats: y, the
     stage states and y_new are lists, rhs takes a list and returns d floats,
-    and project takes and returns an array. Stage sums stay np.dot of a row of A
-    and the earlier stages, scipy's gemv, whose fused multiply-adds a Python
-    sum would not repeat; float * and + round as numpy's elementwise ones,
-    and the scale keeps np.maximum's NaN. Times, steps and factors are Python
+    and project takes and returns an array. Its leaves advance and
+    error_scale come from _float_leaves(d), written out term by term for the
+    state's d: on Python 3.11 a comprehension over the components is one
+    more function call, and the leaves run 13 times an attempt. Each
+    component is still the same few float operations in the same order, so
+    the steps keep scipy's bits. Stage sums stay np.dot of a row of A and
+    the earlier stages, scipy's gemv, whose fused multiply-adds a Python sum
+    would not repeat; float * and + round as numpy's elementwise ones, and
+    the scale keeps np.maximum's NaN. Times, steps and factors are Python
     floats, whose ** calls scipy's pow, and so is the error norm.
     """
     if not np.isfinite(t1):
@@ -211,11 +285,8 @@ def _dop853_steps(
     shape = y0.shape
     if y0.ndim == 1:
         floats, array = np.ndarray.tolist, np.array
-        advance = lambda y, dy, h: [yi + di * h for yi, di in zip(y, dy.tolist())]
-        error_scale = lambda y, y_new: np.array([
-            atol + (u if u > v or u != u else v) * tol
-            for u, v in zip(map(abs, y), map(abs, y_new))
-        ])
+        leaves = _float_leaves(len(y0))
+        advance, error_scale = leaves.advance, leaves.error_scale_for(atol, tol)
     else:
         floats = array = np.asarray  # the array itself
         advance = lambda y, dy, h: y + dy.reshape(shape) * h
@@ -335,27 +406,28 @@ class DenseOutput:
         self._sign = 1.0 if t_new[0] > t_old[0] else -1.0
         self._breaks = self._sign * np.concatenate([t_old[:1], t_new])
         self._t_old, self._h, self._y_old, self._F = t_old, t_new - t_old, y_old, F
-        # per step t_old, h, y_old and each component's 7 coefficients, as
-        # Python floats for _at, and the breaks as a list; built on first use
-        self._rows = self._breaks_list = None
+        # per step t_old, h, y_old and the (7, d) coefficients by rows, as
+        # Python floats for _at, the breaks as a list, and the sum written
+        # out for d; built on first use
+        self._rows = self._breaks_list = self._interpolate = None
 
     def _at(self, t: float) -> list:
         """The interpolant at one float time t as d floats: the sum of
-        __call__, on Python floats."""
+        __call__, on Python floats, by the interpolate leaf of
+        _float_leaves, which writes it out term by term for d (a
+        comprehension over the components is a call per lookup on Python
+        3.11) and rounds every component as the array branch does."""
         if self._rows is None:
             self._breaks_list = self._breaks.tolist()
             self._rows = list(zip(
                 self._t_old.tolist(), self._h.tolist(), self._y_old.tolist(),
-                self._F.transpose(0, 2, 1).tolist(),
+                self._F.reshape(len(self._h), -1).tolist(),
             ))
+            self._interpolate = _float_leaves(self._y_old.shape[1]).interpolate
         # searching breaks[1:n] clamps k to the first and last step
         k = bisect_left(self._breaks_list, self._sign * t, 1, len(self._rows)) - 1
         t_old, h, y_old, F = self._rows[k]
-        p0, p1, p2, p3, p4, p5, p6 = _basis((t - t_old) / h)
-        return [
-            y + (p0 * f0 + p1 * f1 + p2 * f2 + p3 * f3 + p4 * f4 + p5 * f5 + p6 * f6)
-            for y, (f0, f1, f2, f3, f4, f5, f6) in zip(y_old, F)
-        ]
+        return self._interpolate(_basis((t - t_old) / h), y_old, F)
 
     def __call__(self, t):
         if type(t) is float or np.ndim(t) == 0:
@@ -744,11 +816,12 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
         # t float, y a list of 5 floats -> a list of 5 floats, or t (n,),
         # y (n, 5) -> (n, 5). One state reads Omega from the dense output's
         # float lookup, whose products and sums round as the batch's
-        # elementwise ones do, and so do _hamilton's on floats
+        # elementwise ones do, and so do _hamilton's on floats. The rate is
+        # written out, as a comprehension is a call on Python 3.11
         one = type(y) is list
         (w0, w1, w2), q = (dense_omega._at(t), y[:4]) if one else (dense_omega(t), y.T[:4])
-        rate = [0.5 * c for c in _hamilton(q, (0.0, w0, w1, w2))]
-        rate.append(-(a1 * w0 + a2 * w1 + w2))
+        r0, r1, r2, r3 = _hamilton(q, (0.0, w0, w1, w2))
+        rate = [0.5 * r0, 0.5 * r1, 0.5 * r2, 0.5 * r3, -(a1 * w0 + a2 * w1 + w2)]
         return rate if one else np.array(rate).T
 
     t0, t1 = float(traj.times[0]), float(traj.times[-1])

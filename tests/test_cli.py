@@ -183,6 +183,46 @@ class TestSimulate:
         assert np.max(np.abs(E - E[0])) <= 1e-9 * abs(E[0])
         assert np.max(np.abs(F - F[0])) <= 1e-6 * max(abs(F[0]), 1e-30)
 
+    def test_log_abs_F_is_log_of_F(self, params_file, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--params", params_file("p", 1.0, 0.0),
+                     "--omega0", "1,1,1", "--T", "50", "--samples", "26",
+                     "--out", str(out)]) == 0
+        cols, rows = _read_csv(out)
+        assert cols[cols.index("F") + 1] == "log_abs_F"
+        F, log_F = rows[:, cols.index("F")], rows[:, cols.index("log_abs_F")]
+        np.testing.assert_allclose(np.exp(log_F), np.abs(F), rtol=1e-12, atol=0.0)
+        # on the plane u+ = 0, F is 0 and log_abs_F is -inf, with no warning
+        from suslovkit import cli, density_params, validate
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=0.0)
+        on_plane = np.array([[density_params(p).xi_plus, 0.3, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols, data = cli._orbit_table(p, np.array([0.0]), on_plane)
+        assert data[cols.index("F")][0] == 0.0
+        assert data[cols.index("log_abs_F")][0] == -math.inf
+
+    def test_log_abs_F_is_finite_where_F_overflows(self, tmp_path):
+        # on the gamma = 4477 set |u-|^gamma overflows, so F is inf on every
+        # row with the sign of u+; log_abs_F stays finite, and neither warns
+        params = tmp_path / "g.json"
+        params.write_text(json.dumps({"I1": 1.1, "I2": 1.0, "I3": 0.9, "K1": 0.0,
+                                      "K3": 50.0, "a1": -2.0, "a2": 0.0}))
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--params", str(params), "--omega0=0.3,-0.4,0.5",
+                       "--T", "1", "--samples", "3", "--out", str(out)])
+        assert rc == 0
+        cols, rows = _read_csv(out)
+        assert len(rows) == 3
+        assert np.all(np.isfinite(rows[:, cols.index("log_abs_F")]))
+        from suslovkit import density_params, load_params
+        xi_plus = density_params(load_params(str(params))).xi_plus
+        u_plus = rows[:, cols.index("omega1")] - xi_plus * rows[:, cols.index("omega3")]
+        F = rows[:, cols.index("F")]
+        assert np.all(np.isinf(F)) and np.array_equal(np.sign(F), np.sign(u_plus))
+
     def test_reconstruct_theta_column(self, params_file, tmp_path):
         out = tmp_path / "s.csv"
         main(["simulate", "--params", params_file("p", 1.0, 1.0),

@@ -522,6 +522,96 @@ class TestFloatPath:
         assert errors[0].t_last == errors[1].t_last == oracle.t
 
 
+def _awkward_doubles(rng, shape):
+    """Doubles across the exponent range, about a third of them NaN, +-inf,
+    +-0.0, subnormal or the largest double."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                        np.finfo(float).max])
+    mask = rng.random(shape) < 0.3
+    x[mask] = rng.choice(special, int(mask.sum()))
+    return x
+
+
+def _bits_any_nan(x):
+    """_bits with every NaN the same NaN. Which NaN a sum or product of two
+    NaNs keeps is not stable: one Python function gives +NaN + (inf * 0) one
+    sign before 3.11 specializes its float add and the other after, and
+    numpy's loops may take either operand's."""
+    x = np.asarray(x, dtype=float)
+    return _bits(np.where(np.isnan(x), np.nan, x))
+
+
+class TestFloatLeaves:
+    """The one-state leaves written out for d floats give the bits of the
+    comprehensions over the components that they replace, and of the array
+    forms, up to which NaN a NaN is."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_stepping_leaves(self, d, rng):
+        leaves = flow._float_leaves(d)
+        assert flow._float_leaves(d) is leaves
+        for atol, tol in ((1e-12, 1e-10), (1e-10, 1e-8)):
+            error_scale = leaves.error_scale_for(atol, tol)
+            for _ in range(100):
+                y, y_new, dy = (_awkward_doubles(rng, d).tolist() for _ in range(3))
+                h = float(rng.choice([rng.standard_normal(), -1e-300, 5e-324, 1e300]))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = leaves.advance(y, np.array(dy), h)
+                    want = [yi + di * h for yi, di in zip(y, dy)]
+                    batch = np.array(y) + np.array(dy) * h
+                assert type(got) is list and all(type(x) is float for x in got)
+                assert _bits_any_nan(got).tolist() == _bits_any_nan(want).tolist() \
+                    == _bits_any_nan(batch).tolist()
+                got = error_scale(y, y_new)
+                want = np.array([atol + (u if u > v or u != u else v) * tol
+                                 for u, v in zip(map(abs, y), map(abs, y_new))])
+                # the batch leaf's form, whose np.maximum the NaN rule follows
+                batch = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+                assert got.dtype == float and got.shape == (d,)
+                assert _bits_any_nan(got).tolist() == _bits_any_nan(want).tolist() \
+                    == _bits_any_nan(batch).tolist()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_dense_lookup_is_the_array_branch(self, d, sign, rng):
+        n = 5
+        breaks = sign * np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n))])
+        dense = flow.DenseOutput(breaks[:-1], breaks[1:], _awkward_doubles(rng, (n, d)),
+                                 _awkward_doubles(rng, (n, 7, d)))
+        ts = np.concatenate([breaks, sign * rng.uniform(-1.0, abs(breaks[-1]) + 1.0, 40)])
+        steps = np.clip(np.searchsorted(sign * breaks, sign * ts) - 1, 0, n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = dense(ts)
+            for j, (t, k) in enumerate(zip(ts.tolist(), steps.tolist())):
+                got = dense._at(t)
+                t_old, t_new = breaks[k:k + 2].tolist()
+                p0, p1, p2, p3, p4, p5, p6 = flow._basis((t - t_old) / (t_new - t_old))
+                want = [
+                    y + (p0 * f0 + p1 * f1 + p2 * f2 + p3 * f3 + p4 * f4 + p5 * f5 + p6 * f6)
+                    for y, (f0, f1, f2, f3, f4, f5, f6) in zip(
+                        dense._y_old[k].tolist(), dense._F[k].T.tolist())
+                ]
+                assert type(got) is list and len(got) == d
+                assert _bits_any_nan(got).tolist() == _bits_any_nan(want).tolist() \
+                    == _bits_any_nan(batch[:, j]).tolist()
+
+
+def test_float_leaves_are_built_at_first_use():
+    # a fresh interpreter: importing builds no leaf, and one simulate builds
+    # those of its (3,) state alone
+    src = str(Path(suslovkit.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import suslovkit, suslovkit.cli; "
+        "from suslovkit import flow; print(sorted(flow._FLOAT_LEAVES)); "
+        "p = suslovkit.validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0); "
+        "suslovkit.simulate(p, [0.3, -0.4, 0.5], 10.0); print(sorted(flow._FLOAT_LEAVES))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "[3]"]
+
+
 class TestSampleEllipsoid:
     def test_exact_energy(self, pstar_full, rng):
         for eta in (0.5, 1.0, 3.0):
