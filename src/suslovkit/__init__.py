@@ -30,7 +30,6 @@ from .equilibria import (
 from .fields import (
     DensitySpec,
     VectorFieldSpec,
-    divergence,
     example1d,
     example2d,
     example2d_density,
@@ -88,7 +87,6 @@ __all__ = [
     "density_params",
     "density_spec",
     "detect_attractor",
-    "divergence",
     "divergence_witness",
     "energy",
     "equilibrium_directions",

@@ -24,12 +24,15 @@ EXAMPLE2D_FACTORS = (((1.0, 0.0), (0.0, 1.0)), (5.0, 2.0))
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """Autonomous vector field on R^dim with an optional analytic Jacobian
-    and an optional analytic divergence, div mapping (..., dim) to (...,).
-    A spec without div has its divergence from jac; one with neither has none.
-    point, when given, is eval at one point on Python floats (a list of dim
-    floats in, dim floats out, each bit-equal to eval's), which the scalar
-    integrator calls per stage to skip numpy's call overhead."""
+    """Autonomous vector field on R^dim: eval, with an optional analytic
+    Jacobian jac and an optional analytic divergence div, mapping (..., dim)
+    to (..., dim, dim) and to (...,). point is eval at one point on Python
+    floats (a list of dim floats in, dim floats out, each bit-equal to
+    eval's), which the scalar integrator calls per stage to skip numpy's call
+    overhead. A spec completes itself when built: without point, point is
+    eval on the list as an array; without div, div is the trace of jac, or
+    None when jac is None too (central differences of eval are an oracle,
+    not a divergence)."""
 
     dim: int
     eval: Callable[[Array], Array]
@@ -40,6 +43,13 @@ class VectorFieldSpec:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("field dimension must be positive")
+        evaluate, jac = self.eval, self.jac
+        if self.point is None:
+            object.__setattr__(self, "point", lambda y: evaluate(np.array(y)))
+        if self.div is None and jac is not None:
+            object.__setattr__(
+                self, "div", lambda x: _trace(jac(np.asarray(x, dtype=float)))
+            )
 
 
 @dataclass(frozen=True)
@@ -169,18 +179,6 @@ def _trace(J: Array) -> Array:
     """Trace over the last two axes; einsum is several times faster than
     np.trace on large batches of small matrices, with identical sums."""
     return np.einsum("...ii->...", J)
-
-
-def divergence(spec: VectorFieldSpec, x: Array) -> Array:
-    """Divergence of the field: the spec's own div when it has one, else the
-    trace of its jac; with neither, a ValueError (central differences of eval
-    are an oracle, not a fallback)."""
-    x = np.asarray(x, dtype=float)
-    if spec.div is not None:
-        return spec.div(x)
-    if spec.jac is None:
-        raise ValueError("the field's divergence needs its div or jac slot; it has neither")
-    return _trace(spec.jac(x))
 
 
 def example2d() -> VectorFieldSpec:

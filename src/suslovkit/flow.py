@@ -18,7 +18,7 @@ from .core import SuslovParams, _energy, _vector_field, matrices, vector_field
 from .equilibria import equilibrium_directions, scale_to_ellipsoid
 from .fields import (
     Array, DensitySpec, VectorFieldSpec, _check_positive, _check_sample_count, _row_norms,
-    _trace, divergence, fd_jacobian, seeded_generator,
+    _trace, fd_jacobian, seeded_generator,
 )
 
 
@@ -571,9 +571,8 @@ def integrate(
     accepted step (used for energy re-projection on long portrait runs);
     projection is a flagged correction, never silent default behavior.
     integrator_stats gives n_accepted, n_rejected, nfev and the smallest and
-    largest accepted |step|, h_min and h_max. The steps call field.point, or
-    field.eval on a (dim,) array when the spec has no point. An x0 that is
-    not finite is a ValueError.
+    largest accepted |step|, h_min and h_max. The steps call field.point.
+    An x0 that is not finite is a ValueError.
     """
     x0 = _checked_start(field, x0)
     if T == 0.0:
@@ -586,9 +585,8 @@ def integrate(
         if np.isfinite(T) and not np.all((grid >= lo - 1e-12) & (grid <= hi + 1e-12)):
             raise ValueError("record_times must lie within the integration span")
 
-    point = field.point or (lambda y: field.eval(np.array(y)))
     ts, states, dense, stats = _dense_run(
-        lambda t, y: point(y), lambda t, y: field.eval(y), 0.0, x0, T, tol, atol,
+        lambda t, y: field.point(y), lambda t, y: field.eval(y), 0.0, x0, T, tol, atol,
         "integration", project=project,
     )
 
@@ -999,15 +997,14 @@ def _log_volume_flow(
     field: VectorFieldSpec, x0: Array, t: float, tol: float, atol: float
 ) -> tuple[Array, Array]:
     """Endpoints phi_t(x0) of a batch and their log-volumes log|det D phi_t(x0)|,
-    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0.
-    The divergence is the field's div, or the trace of its jac."""
+    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0."""
     dim = field.dim
 
     def evaluate(y: Array) -> Array:
         x = y[:, :dim]
         rate = np.empty(y.shape, order="F")
         # the divergence first, so a trace's Jacobians are freed before eval allocates
-        rate[:, dim] = divergence(field, x)
+        rate[:, dim] = field.div(x)
         rate[:, :dim] = field.eval(x)
         return rate
 
@@ -1078,7 +1075,7 @@ def measure_transport_check(
         raise ValueError("box must have positive widths")
     if N < 2:
         raise ValueError(f"N must be at least 2 for a standard error, got {N}")
-    if field.div is None and field.jac is None:
+    if field.div is None:
         raise ValueError("measure transport requires an analytic field divergence or Jacobian")
     n_t = min(N, _TRANSPORT_MAX_SAMPLES)
     vol = float(np.prod(widths))

@@ -30,7 +30,6 @@ from .fields import (
     _is_c1,
     _row_norms,
     _trace,
-    divergence,
     example2d,
     fd_gradient,
     linear_forms,
@@ -413,7 +412,7 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     """Largest sampled |div X| over the unit ball: positive exactly when a
     positive C1 stationary density is obstructed ((a1, a2) != (0, 0)).
 
-    The divergence is the field's covector slot (fields.divergence).
+    The divergence is the field's covector slot div.
     It is linear in Omega, so div X = <c, Omega> with c_k = div X(e_k), and
     its true supremum over the unit ball is |c|; pass means that supremum is
     positive and the sampled maximum reaches at least half of it; draws that
@@ -424,8 +423,8 @@ def divergence_witness(params: SuslovParams, n_points: int = 4096, seed: int = 0
     rng = seeded_generator(seed)
     w = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     w = np.compress(_row_norms(w) <= 1.0, w, axis=0)
-    peak = float(np.max(np.abs(divergence(field, w)), initial=0.0))
-    sup = float(np.linalg.norm(divergence(field, np.eye(3))))
+    peak = float(np.max(np.abs(field.div(w)), initial=0.0))
+    sup = float(np.linalg.norm(field.div(np.eye(3))))
     return {
         "claim": "div X vanishes identically iff a1 = a2 = 0",
         "params": params.to_dict(),

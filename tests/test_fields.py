@@ -15,7 +15,6 @@ from suslovkit.fields import (
     _is_c1,
     _row_norms,
     _trace,
-    divergence,
     example1d,
     example2d,
     example2d_density,
@@ -214,13 +213,24 @@ def test_fd_gradient_batch_shape():
 
 
 def test_divergence_prefers_analytic_route():
+    # a spec with jac but no div takes the trace of jac as its div, one with
+    # its own div keeps it, and one with neither has none: central
+    # differences of eval are an oracle, not a fallback
     f = example2d()
-    x = np.array([0.7, -1.3])
-    assert divergence(f, x) == pytest.approx(1.0, abs=1e-12)
-    # central differences of eval are an oracle, not a fallback
-    bare = VectorFieldSpec(dim=2, eval=f.eval)
-    with pytest.raises(ValueError, match="div or jac"):
-        divergence(bare, x)
+    assert f.div([0.7, -1.3]) == pytest.approx(1.0, abs=1e-12)
+    X = np.random.default_rng(0).normal(size=(5, 2))
+    np.testing.assert_array_equal(f.div(X), _trace(f.jac(X)))
+    own = lambda x: np.zeros(np.shape(x)[:-1])
+    assert VectorFieldSpec(dim=2, eval=f.eval, jac=f.jac, div=own).div is own
+    assert VectorFieldSpec(dim=2, eval=f.eval).div is None
+
+
+def test_spec_without_point_evaluates_one_point_with_eval():
+    f = example2d()
+    y = [0.7, -1.3]
+    assert list(f.point(y)) == f.eval(np.array(y)).tolist()
+    own = lambda y: y
+    assert VectorFieldSpec(dim=2, eval=f.eval, point=own).point is own
 
 
 def test_vector_field_spec_rejects_bad_dim():
