@@ -55,6 +55,11 @@ class SuslovParams:
             raise ValueError("rotor axial moment K3 must be positive")
         if self.K1 < 0.0:
             raise ValueError("rotor transverse moment K1 must be nonnegative")
+        if self.I1 + self.K1 == self.I2 + self.K1:
+            raise ValueError(
+                f"rotor transverse moment K1 = {self.K1!r} is too large: I1 + K1 and "
+                "I2 + K1 round to the same double, so lambda1 = lambda2"
+            )
 
     @property
     def lam(self) -> tuple[float, float, float]:
@@ -141,8 +146,10 @@ def matrices(params: SuslovParams) -> SystemMatrices:
     C = l2 + a2 * a2 * K3
     Ka = np.array([[A, B, 0.0], [B, C, 0.0], [0.0, 0.0, l3]])
     Ba = np.array([[l1, 0.0, 0.0], [0.0, l2, 0.0], [-a1 * K3, -a2 * K3, l3]])
-    # Ka is block diagonal: a 2x2 symmetric block plus the scalar l3.
-    d2 = A * C - B * B
+    # Ka is block diagonal: a 2x2 symmetric block plus the scalar l3. The
+    # block's determinant A C - B^2 is summed as l2 A + l1 a2^2 K3, whose terms
+    # are nonnegative, since the difference cancels to 0 or below once |a| is large.
+    d2 = A * l2 + l1 * (a2 * a2 * K3)
     Ka_inv = np.array([
         [C / d2, -B / d2, 0.0],
         [-B / d2, A / d2, 0.0],

@@ -666,17 +666,13 @@ def integrate_batch(
     recorded (time, states) snapshots. stats, when given, is filled as
     integrate's integrator_stats: n_accepted, n_rejected, nfev (each a call
     on the whole batch) and the smallest and largest accepted |step|, h_min
-    and h_max. x0 is a batch (n, field.dim) or one state (field.dim,), taken
-    as a batch of one; any other shape, or a batch of no states, is a
-    ValueError before any step.
+    and h_max. x0 is a batch (n, field.dim); any other shape, one state
+    (field.dim,) included, or a batch of no states, is a ValueError before
+    any step.
     """
     Y = np.asarray(x0, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[None, :]
     if Y.ndim != 2 or Y.shape[1] != field.dim:
-        raise ValueError(
-            f"x0 must have shape (n, {field.dim}) or ({field.dim},), got {np.shape(x0)}"
-        )
+        raise ValueError(f"x0 must have shape (n, {field.dim}), got {np.shape(x0)}")
     _check_sample_count(len(Y), "number of states")
     s = 1.0 if T > 0.0 else -1.0
     rec = np.asarray(sorted(record_times, key=lambda r: s * r), dtype=float)
@@ -1057,8 +1053,9 @@ def measure_transport_check(
     div X(phi_s(x)) ds, integrated as one extra state beside x; the
     variational route of flow_map_with_jacobian is its test oracle. Every t
     takes this path: at t = 0 the integration takes no step, so x_end = x
-    and l_end = 0. Needs N >= 2. Raises ValueError before any draw when the
-    field has neither div nor jac (central differences are only an oracle);
+    and l_end = 0. Needs N >= 2. Raises ValueError before any draw when t
+    is not finite or the field's div is None (a spec with neither div nor
+    jac; central differences are only an oracle);
     when a box bound, the density at the box samples, a transport weight,
     or a standard error is not finite; and when mu(A) is 0 or every
     transport weight is 0, as when M underflows on the box, since no
@@ -1075,6 +1072,8 @@ def measure_transport_check(
         raise ValueError("box must have positive widths")
     if N < 2:
         raise ValueError(f"N must be at least 2 for a standard error, got {N}")
+    if not np.isfinite(t):
+        raise ValueError(f"measure transport: end time must be finite, got {t}")
     if field.div is None:
         raise ValueError("measure transport requires an analytic field divergence or Jacobian")
     n_t = min(N, _TRANSPORT_MAX_SAMPLES)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from suslovkit.cli import main
+from suslovkit.core import validate
 
 
 @pytest.fixture
@@ -159,6 +160,69 @@ class TestErrorPaths:
         assert main(["analyze", "--params", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+
+#: sets that ended in a ZeroDivisionError traceback: the determinant A C - B^2
+#: of Ka's 2x2 block cancelled to 0 at a1 = a2 = 1e9, and I1 + K1 and I2 + K1
+#: rounded to one double at K1 = 1e17, so lambda1 - lambda2 was 0
+_REPRODUCERS = {
+    "a=1e9": {"I1": 3, "I2": 2, "I3": 1, "K1": 0.5, "K3": 1, "a1": 1e9, "a2": 1e9},
+    "K1=1e17": {"I1": 3, "I2": 2, "I3": 1, "K1": 1e17, "K3": 1, "a1": 1, "a2": 0},
+}
+
+
+def _admissible_draws(seed, count):
+    """count seeded parameter sets that validate accepts: moments log-uniform
+    in 1e-6..1e6, K1, K3, |a1| and |a2| in 1e-9..1e9, with a random sign and
+    a2 = 0 on about a third of the sets."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        I3, I2, I1 = sorted(10.0 ** rng.uniform(-6.0, 6.0, 3))
+        K1, K3, a1, a2 = 10.0 ** rng.uniform(-9.0, 9.0, 4)
+        doc = {"I1": I1, "I2": I2, "I3": I3, "K1": K1, "K3": K3,
+               "a1": a1 * rng.choice([-1.0, 1.0]), "a2": a2 * rng.choice([-1.0, 0.0, 1.0])}
+        doc = {k: float(v) for k, v in doc.items()}
+        try:
+            validate(**doc)
+        except ValueError:
+            continue
+        sets.append(doc)
+    return sets
+
+
+class TestRobustnessSweep:
+    """Every admissible parameter set finishes or fails with a clear error:
+    no exception escapes main, under the suite's warnings-as-errors."""
+
+    @staticmethod
+    def _exit_code(argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.startswith("error:") and len(err.splitlines()) == 1, argv
+        return rc
+
+    def test_log_uniform_sets_through_analyze_and_verify(self, tmp_path, capsys):
+        # simulate stays off these sets: at |a| ~ 1e7..1e8 it spends its whole
+        # step budget at T = 0.01, some 30 s a set
+        for k, doc in enumerate(_admissible_draws(0, 40)):
+            f = tmp_path / f"p{k}.json"
+            f.write_text(json.dumps(doc))
+            for argv in (["analyze"], ["verify", "suslov", "--samples", "200"]):
+                argv = argv + ["--params", str(f), "--out", str(tmp_path / "out.json")]
+                assert self._exit_code(argv, capsys) in (0, 1, 2), doc
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["verify", "suslov"], ["simulate", "--omega0", "0.3,-0.4,0.5", "--T", "0.01"],
+        ["transport", "suslov", "--samples", "2000"],
+    ], ids=["analyze", "verify", "simulate", "transport"])
+    @pytest.mark.parametrize("name", list(_REPRODUCERS))
+    def test_reproducers_finish_or_name_their_fault(self, tmp_path, capsys, name, command):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(_REPRODUCERS[name]))
+        argv = command + ["--params", str(f), "--out", str(tmp_path / "out")]
+        assert self._exit_code(argv, capsys) in (0, 2)
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,7 +57,9 @@ class TestValidate:
         ((3.0, 2.0, 1.0, 0.5, 1.0, np.inf), "parameters must be finite"),
         ((3.0, 2.0, 0.0, 0.5, 1.0), "need I3 > 0"),
         ((3.0, 2.0, 1.0, -0.1, 1.0), "K1 must be nonnegative"),
-    ], ids=["I1=nan", "a1=inf", "I3=0", "K1<0"])
+        # I1 + K1 and I2 + K1 round to one double: lambda1 = lambda2 in floats
+        ((3.0, 2.0, 1.0, 1e17, 1.0), r"K1 = 1e\+17 is too large"),
+    ], ids=["I1=nan", "a1=inf", "I3=0", "K1<0", "K1=1e17"])
     def test_unusable_moment_is_named(self, args, named):
         with pytest.raises(ValueError, match=named):
             SuslovParams(*args, *(0.0,) * (7 - len(args)))
@@ -74,6 +77,9 @@ class TestValidate:
     def test_lambda_ordering(self, pstar):
         l1, l2, l3 = pstar.lam
         assert l1 == 3.5 and l2 == 2.5 and l3 == 1.0
+
+    def test_large_k1_allowed_while_lambda1_exceeds_lambda2(self):
+        assert validate(3.0, 2.0, 1.0, 1e15, 1.0).lam[:2] == (1e15 + 3.0, 1e15 + 2.0)
 
     def test_lam_is_the_moment_triple(self, rng):
         for _ in range(50):
@@ -146,6 +152,37 @@ class TestMatrices:
             np.testing.assert_allclose(m.Ka @ m.Ka_inv, np.eye(3), atol=1e-12)
             assert m.detKa > 0
             np.testing.assert_allclose(m.detKa, np.linalg.det(m.Ka), rtol=1e-12)
+
+    def test_det_ka_against_exact_arithmetic_at_extreme_scales(self, rng):
+        # det Ka = l3 (l1 l2 + K3 (l1 a2^2 + l2 a1^2)) in Fractions of the
+        # doubles, over log-uniform moments, K3 and a spanning 1e-8..1e8,
+        # where A C - B^2 cancelled to 0 or below on some 0.5% of draws, and
+        # at a1 = a2 = 1e9, where it cancelled to 0 and matrices divided by it
+        sets = [validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1e9, a2=1e9)]
+        while len(sets) < 2500:
+            I3, I2, I1 = sorted(10.0 ** rng.uniform(-8.0, 8.0, 3))
+            K1, K3, a1, a2 = 10.0 ** rng.uniform(-8.0, 8.0, 4)
+            a1, a2 = a1 * rng.choice([-1.0, 1.0]), a2 * rng.choice([-1.0, 0.0, 1.0])
+            try:
+                sets.append(validate(I1, I2, I3, K1, K3, a1=a1, a2=a2))
+            except ValueError:
+                pass
+        eps = np.finfo(float).eps
+        for p in sets:
+            l1, l2, l3 = map(Fraction, p.lam)
+            f1, f2, k3 = Fraction(p.a1), Fraction(p.a2), Fraction(p.K3)
+            exact = l3 * (l1 * l2 + k3 * (l1 * f2 * f2 + l2 * f1 * f1))
+            det = matrices(p).detKa
+            assert det > 0.0
+            assert abs(Fraction(det) - exact) <= 4 * eps * exact
+
+    def test_det_ka_keeps_its_bits_when_a2_is_zero(self, rng):
+        # the rewritten determinant is A C - B^2 bit for bit when B = 0
+        for _ in range(200):
+            p = draw_params(rng, a2=0.0)
+            m = matrices(p)
+            A, C = m.Ka[0, 0], m.Ka[1, 1]
+            assert m.detKa == (A * C - m.Ka[0, 1] ** 2) * p.lam[2]
 
 
 class TestVectorField:

@@ -683,21 +683,13 @@ class TestBatchIntegrator:
         (example2d(), np.ones((3, 3))),
         (example2d(), np.ones(3)),
         (vector_field(validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)), np.ones((2, 3, 3))),
-    ], ids=["(3,3) on dim 2", "(3,) on dim 2", "(2,3,3) on dim 3"])
+        (vector_field(validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)), np.ones(3)),
+    ], ids=["(3,3) on dim 2", "(3,) on dim 2", "(2,3,3) on dim 3", "(3,) on dim 3"])
     def test_malformed_batch_is_named_before_any_step(self, field, x0):
         f, calls = _counting(field)
         with pytest.raises(ValueError, match=rf"x0 must have shape \(n, {field.dim}\)"):
             integrate_batch(f, x0, 1.0)
         assert calls[0] == 0
-
-    def test_one_state_is_a_batch_of_one(self, pstar_full):
-        f = vector_field(pstar_full)
-        x0 = np.array([0.5, 0.2, 0.9])
-        Y, recs = integrate_batch(f, x0, 3.0, record_times=(1.5,))
-        Y1, recs1 = integrate_batch(f, x0[None, :], 3.0, record_times=(1.5,))
-        assert Y.shape == (1, 3)
-        np.testing.assert_array_equal(Y, Y1)
-        np.testing.assert_array_equal(recs[0][1], recs1[0][1])
 
     def test_empty_batch_is_named(self, pstar):
         with pytest.raises(ValueError, match="number of states must be at least 1, got 0"):
@@ -1154,8 +1146,20 @@ class TestMeasureTransport:
                                     1.0, 100, seed=1)
         assert seen == []
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_time_that_is_not_finite_rejected_before_any_draw(self, t):
+        # an argument check, before the density sees any sample
+        seen = []
+        dens = DensitySpec(eval=lambda x: seen.append(x) or example2d_density().eval(x),
+                           zero_set_description="coordinate axes")
+        with pytest.raises(ValueError, match="measure transport: end time must be finite"):
+            measure_transport_check(example2d(), dens, np.array([[1.0, 2.0], [1.0, 2.0]]),
+                                    t, 100, seed=1)
+        assert seen == []
+
     def test_divergence_slot_alone_suffices(self, pstar):
-        # the log-volume reads the field's div; jac is only its fallback
+        # the log-volume reads the field's div, which a spec without one
+        # takes from the trace of its jac
         f = vector_field(pstar)
         dens = density_spec(pstar, density_params(pstar))
         box = np.array([[0.8, 1.2]] * 3)
