@@ -147,8 +147,8 @@ def matrices(params: SuslovParams) -> SystemMatrices:
     Ka = np.array([[A, B, 0.0], [B, C, 0.0], [0.0, 0.0, l3]])
     Ba = np.array([[l1, 0.0, 0.0], [0.0, l2, 0.0], [-a1 * K3, -a2 * K3, l3]])
     # Ka is block diagonal: a 2x2 symmetric block plus the scalar l3. The
-    # block's determinant A C - B^2 is summed as l2 A + l1 a2^2 K3, whose terms
-    # are nonnegative, since the difference cancels to 0 or below once |a| is large.
+    # block's determinant A C - B^2 equals l2 A + l1 a2^2 K3, a sum of
+    # nonnegative terms; the difference cancels to 0 or below once |a| is large.
     d2 = A * l2 + l1 * (a2 * a2 * K3)
     Ka_inv = np.array([
         [C / d2, -B / d2, 0.0],
