@@ -75,8 +75,14 @@ def _line_directions(params: SuslovParams) -> tuple[Array, Array, Array]:
 
 
 def _checked_zero(field: VectorFieldSpec, v: Array) -> Array:
-    # X is quadratic and Q unit-free, so |X(v)| / |v|^2 is free of units
-    if np.linalg.norm(field.eval(v)) > 1e-10 * float(v @ v):
+    # X_i(v) = 1/2 sum_jk P_ijk v_j v_k with P_ijk = J(e_k)_ij, and X(v) is
+    # rounded on the scale of the terms it sums, 1/2 sum_jk |P_ijk| |v_j| |v_k|
+    # (|v|^2 alone is below it when Q's entries are large); the ratio of the
+    # two is free of units
+    P = np.abs(field.jac(np.eye(field.dim)))  # P[k, i, j] = |P_ijk|
+    u = np.abs(v)
+    terms = 0.5 * np.einsum("kij,j,k->i", P, u, u)
+    if np.linalg.norm(field.eval(v)) > 1e-10 * np.linalg.norm(terms):
         raise AssertionError("equilibrium direction fails the field zero check")
     return v
 

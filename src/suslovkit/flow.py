@@ -116,7 +116,7 @@ def _float_leaves(d: int) -> _FloatLeaves:
       list by rows.
     Each component is formed by the float operations of the array form the
     leaf stands for (the batch leaves of _dop853_steps, the sum of
-    DenseOutput.__call__), in the same order, so it has the same bits.
+    _interpolate), in the same order, so it has the same bits.
     """
     leaves = _FLOAT_LEAVES.get(d)
     if leaves is None:
@@ -222,7 +222,7 @@ def _error_norm(K2: Array, h: float, scale: Array) -> float:
 
 def _dop853_steps(
     rhs: Callable, t0: float, y0: Array, t1: float,
-    tol: float, atol: float, what: str, stops: Sequence[float] = (),
+    tol: float, atol: float, what: str,
     project: Optional[Callable[[Array], Array]] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[_Step]:
@@ -233,13 +233,13 @@ def _dop853_steps(
     every step; rhs maps a time and a state to its rate (see below). The
     tableau is scipy's (scipy.integrate._ivp.dop853_coefficients), and so are
     the initial step, the minimum step and the step-size control, so on one
-    state with no stops the steps are scipy's DOP853 steps bit for bit. A
-    batch's error norm is that of its worst column; a NaN or infinite norm
-    rejects the step and shrinks it by _MIN_FACTOR. Steps are shortened to
-    land exactly on each of stops (ordered from t0 towards t1), and a step so
-    shortened keeps the proposed size for the next one. After each accepted
-    step the state is replaced by project(y_new) when project is given, and
-    its rate re-evaluated. stats, when given, holds n_accepted, n_rejected,
+    state the steps are scipy's DOP853 steps bit for bit. A batch's error
+    norm is that of its worst column; a NaN or infinite norm rejects the step
+    and shrinks it by _MIN_FACTOR. The one step shortened is the last, to
+    land on t1; a time inside the run is read off its step's interpolant
+    (_dense_coefficients), not stepped to. After each accepted step the
+    state is replaced by project(y_new) when project is given, and its rate
+    re-evaluated. stats, when given, holds n_accepted, n_rejected,
     nfev (every rhs call) and the smallest and largest accepted |step|, h_min
     and h_max, as of the last yield, or of the end of the run however it
     ends. A step below 10 spacings of t or more than _MAX_STEPS attempts raise
@@ -279,7 +279,6 @@ def _dop853_steps(
     if t1 == t0:
         return
     direction = 1.0 if t1 > t0 else -1.0
-    stops = [float(s) for s in stops if direction * (t1 - s) > 0.0] + [float(t1)]
     n_stages = _dop853.N_STAGES
     # the leaves: the state y + h dy, and atol + max(|y|, |y_new|) tol
     shape = y0.shape
@@ -303,12 +302,8 @@ def _dop853_steps(
         h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, K[0], t1, tol, atol)
         nfev = 2  # K[0] and the initial step's probe
         t, y = float(t0), floats(y0)
-        i_stop = 0
         attempts = 0
         while direction * (t - t1) < 0.0:
-            while direction * (stops[i_stop] - t) <= 0.0:
-                i_stop += 1
-            stop = stops[i_stop]
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
@@ -324,9 +319,8 @@ def _dop853_steps(
                     )
                 attempts += 1
                 t_new = t + h_abs * direction
-                clamped = direction * (t_new - stop) > 0.0
-                if clamped:
-                    t_new = stop
+                if direction * (t_new - t1) > 0.0:
+                    t_new = t1
                 h = t_new - t
                 # each stage state is y + h sum_j a_j K[j], rounded as scipy
                 # rounds it: the row's dot with the stages is scipy's gemv
@@ -344,8 +338,7 @@ def _dop853_steps(
                         factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                     if rejected:
                         factor = min(1, factor)
-                    if not clamped:
-                        h_abs = abs(h) * factor
+                    h_abs = abs(h) * factor
                     break
                 if math.isfinite(error_norm):
                     factor = max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -384,6 +377,18 @@ def _basis(theta):
     return theta, p1, p2, p3, p4, p5, p5 * theta
 
 
+def _interpolate(theta, y_old: Array, F: Array) -> Array:
+    """y_old + (p_0 F_0 + ... + p_6 F_6), (m, d), for m steps' start states
+    y_old (m, d) and coefficients F (m, 7, d), at the fractions theta of the
+    steps, one float or (m, 1); elementwise, so a float theta and the same
+    value in an array give the same bits."""
+    P = _basis(theta)
+    total = P[0] * F[:, 0]
+    for j in range(1, len(P)):
+        total = total + P[j] * F[:, j]
+    return y_old + total
+
+
 class DenseOutput:
     """Piecewise DOP853 interpolant over the accepted steps of one run.
 
@@ -391,8 +396,8 @@ class DenseOutput:
     y_old + (p_0 F_0 + p_1 F_1 + ... + p_6 F_6), theta = (t - t_old) / h,
     with the basis p_j(theta) of _basis and the step's (7, d) coefficients F;
     this is the polynomial scipy's DOP853 builds for each step's dense
-    output, written as one sum. Both branches form it from elementwise
-    products and sums in that order, so a scalar time and the same time in
+    output, written as one sum (_interpolate). Both branches form it from
+    elementwise products and sums in that order, so a scalar time and the same time in
     an array give the same bits. The call contract is that of scipy's
     piecewise dense solution: a scalar t gives shape (d,) and an array of m
     times gives (d, m); at a step boundary the step that ends there in the
@@ -413,7 +418,7 @@ class DenseOutput:
 
     def _at(self, t: float) -> list:
         """The interpolant at one float time t as d floats: the sum of
-        __call__, on Python floats, by the interpolate leaf of
+        _interpolate, on Python floats, by the interpolate leaf of
         _float_leaves, which writes it out term by term for d (a
         comprehension over the components is a call per lookup on Python
         3.11) and rounds every component as the array branch does."""
@@ -434,22 +439,18 @@ class DenseOutput:
             return np.array(self._at(float(t)))
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self._breaks, self._sign * t) - 1, 0, self._h.size - 1)
-        F = self._F[k]
-        P = _basis((t - self._t_old[k]) / self._h[k])
-        total = P[0][:, None] * F[:, 0]
-        for j in range(1, len(P)):
-            total = total + P[j][:, None] * F[:, j]
-        return (self._y_old[k] + total).T
+        theta = (t - self._t_old[k]) / self._h[k]
+        return _interpolate(theta[:, None], self._y_old[k], self._F[k]).T
 
 
-def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> DenseOutput:
-    """DOP853's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
-    for every step, given as (t_old, t, y_old, y_new, K) from the _Step that
-    _dop853_steps yields, built after stepping. The three
-    extra stages depend only on their own step's stages, so each is one
-    batched rhs call that maps times (n,) and states (n, d) to rates (n, d);
-    the coefficients are those scipy's per-step dense output uses."""
-    t_old, t_new, y_old, y_new, K = (np.array(c) for c in zip(*steps))
+def _dense_coefficients(rhs, t_old, t_new, y_old, y_new, K) -> Array:
+    """The coefficients F (m, 7, d) of DOP853's dense output (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6), those scipy's per-step dense
+    output uses, for m steps from t_old to t_new (m,), from y_old to y_new
+    (m, d), with stage rates K (m, 13, d): a scalar run's accepted steps, or
+    one batch step's columns. The three extra stages depend only on their
+    own step's stages, so each is one rhs call, times (m,) and states (m, d)
+    to rates (m, d)."""
     h = t_new - t_old
     hc = h[:, None]
     n_stages = _dop853.N_STAGES + 1
@@ -464,7 +465,14 @@ def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> De
     F[:, 1] = hc * K[:, 0] - delta
     F[:, 2] = 2.0 * delta - hc * (K[:, -1] + K[:, 0])
     F[:, 3:] = h[:, None, None] * (_dop853.D @ Kx)
-    return DenseOutput(t_old, t_new, y_old, F)
+    return F
+
+
+def _dop853_interpolant(rhs: Callable[[Array, Array], Array], steps: list) -> DenseOutput:
+    """The DenseOutput of every step, given as (t_old, t, y_old, y_new, K)
+    from the _Step that _dop853_steps yields, built after stepping."""
+    t_old, t_new, y_old, y_new, K = (np.array(c) for c in zip(*steps))
+    return DenseOutput(t_old, t_new, y_old, _dense_coefficients(rhs, t_old, t_new, y_old, y_new, K))
 
 
 def _dense_run(rhs, dense_rhs, t0, y0, t1, tol, atol, what, project=None):
@@ -661,12 +669,16 @@ def integrate_batch(
     member of the batch, and a batch of one state takes integrate's steps
     unless the last bit of its error norm's square differs (see _error_norm).
     The states are kept column-major, so the field evaluates each stage
-    without a copy. record_times, in (0, T], are hit exactly by shortening
-    the step. Returns the endpoint states, a copy of x0 when T = 0, and the
-    recorded (time, states) snapshots. stats, when given, is filled as
-    integrate's integrator_stats: n_accepted, n_rejected, nfev (each a call
-    on the whole batch) and the smallest and largest accepted |step|, h_min
-    and h_max. x0 is a batch (n, field.dim); any other shape, one state
+    without a copy. Each of record_times, in (0, T], is read off the DOP853
+    interpolant of the accepted step that holds it, as integrate reads its
+    record_times off its dense output; the steps are the same with or
+    without them, and a batch of one state records integrate's dense(r).
+    Returns the endpoint states, a copy of x0 when T = 0, and the recorded
+    (time, states) snapshots. stats, when given, is filled as integrate's
+    integrator_stats: n_accepted, n_rejected, nfev (each a call on the whole
+    batch, the 3 dense-output stages of each step that holds a record time
+    included) and the smallest and largest accepted |step|, h_min and h_max.
+    x0 is a batch (n, field.dim); any other shape, one state
     (field.dim,) included, or a batch of no states, is a ValueError before
     any step.
     """
@@ -685,15 +697,26 @@ def integrate_batch(
     rhs = lambda t, z: field.eval(z.T).T
     Z = np.asfortranarray(Y).T
     recorded: list[tuple[float, Array]] = []
-    i_rec = 0
-    for step in _dop853_steps(
-        rhs, 0.0, Z, T, tol, atol, "batch integration", stops=rec, stats=stats
-    ):
-        Z = step.y
-        while i_rec < rec.size and rec[i_rec] == step.t:
-            recorded.append((rec[i_rec], Z.T.copy()))
-            i_rec += 1
-        del step  # its start state need not stay alive through the next step
+    i_rec = n_dense = 0
+    try:
+        for step in _dop853_steps(rhs, 0.0, Z, T, tol, atol, "batch integration", stats=stats):
+            Z = step.y
+            F = None
+            while i_rec < rec.size and s * rec[i_rec] <= s * step.t:
+                if F is None:
+                    # the step's n columns as n stacked steps
+                    ends = [np.full(len(Y), t) for t in (step.t_old, step.t)]
+                    y_old = step.y_old.T
+                    F = _dense_coefficients(lambda t, y: field.eval(y), *ends, y_old,
+                                            step.y_new.T, step.K.transpose(2, 0, 1))
+                    n_dense += 1
+                theta = (rec[i_rec] - step.t_old) / (step.t - step.t_old)
+                recorded.append((rec[i_rec], _interpolate(theta, y_old, F)))
+                i_rec += 1
+            del step  # its start state need not stay alive through the next step
+    finally:
+        if n_dense and stats is not None:  # stats hold the loop's counts by now
+            stats["nfev"] += 3 * n_dense
     return np.array(Z.T), recorded  # at T = 0, Z.T may be x0's memory
 
 

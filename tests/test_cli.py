@@ -224,6 +224,17 @@ class TestRobustnessSweep:
         argv = command + ["--params", str(f), "--out", str(tmp_path / "out")]
         assert self._exit_code(argv, capsys) in (0, 2)
 
+    def test_equilibrium_line_with_large_field_coefficients_is_a_zero(self, tmp_path, capsys):
+        # |Q| ~ 1e12 here, so X(v) rounds far above 1e-10 |v|^2 on the true
+        # lines; the zero check once failed them with an AssertionError.
+        # Not a reproducer for every command: simulate --T 0.01 runs ~30 s
+        doc = {"I1": 341074.1677807296, "I2": 2.730056976469175e-05,
+               "I3": 8.50152909344904e-06, "K1": 1.1072997656244957e-08,
+               "K3": 1.2468234061068442, "a1": -14681695.392026577, "a2": -1.8565838151921918}
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        assert self._exit_code(["analyze", "--params", str(f)], capsys) in (0, 2)
+
 
 class TestSimulate:
     def test_equilibrium_constant_output(self, params_file, tmp_path):

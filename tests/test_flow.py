@@ -717,6 +717,31 @@ class TestBatchIntegrator:
         assert recs == []
         np.testing.assert_array_equal(Y[0], _endpoint(f, x0, T, tol=1e-10, atol=1e-12))
 
+    @pytest.mark.parametrize("T", [7.0, -7.0])
+    def test_one_row_records_integrates_dense_output_bit_for_bit(self, pstar_full, T):
+        # record times are read off the interpolant of the step that holds
+        # them, so they leave the steps as they are: the endpoint is still
+        # integrate's, and each snapshot is integrate's dense(r); nfev adds
+        # the 3 dense-output stages of each step that holds a record time
+        f = vector_field(pstar_full)
+        x0 = np.array([0.5, 0.2, 0.9])
+        grid = [T * c for c in (0.1, 1 / 3, 0.5, 0.77, 1.0)]
+        stats = {}
+        Y, recs = integrate_batch(f, x0[None, :], T, tol=1e-10, atol=1e-12,
+                                  record_times=grid, stats=stats)
+        traj = integrate(f, x0, T, tol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(Y[0], traj.states[0 if T < 0 else -1])
+        assert [r for r, _ in recs] == grid
+        assert not set(grid[:-1]) & set(traj.times)  # times inside steps, and T
+        for r, snap in recs:
+            assert snap.shape == (1, 3)
+            np.testing.assert_array_equal(snap[0], traj.dense(r))
+        side = "left" if T > 0 else "right"
+        held = {int(np.searchsorted(traj.times, r, side=side)) for r in grid}
+        ref = dict(traj.integrator_stats)
+        ref["nfev"] += 3 * (len(held) - ref["n_accepted"])
+        assert stats == ref
+
     def test_stats_are_integrates(self, pstar_full):
         # one row takes integrate's steps, so it counts them alike; integrate's
         # nfev adds the 3 dense-output stages of each step
@@ -923,9 +948,12 @@ def test_scipy_dop853_tableau_guard():
 
 def test_dense_output_is_built_by_dense_run_alone():
     # every scalar run that samples an interpolant goes through _dense_run;
-    # the stepper runs bare only where no interpolant is sampled
+    # the stepper runs bare only where no scalar interpolant is sampled, and
+    # dense coefficients are built by one function, for a scalar run's steps
+    # and for the batch steps that hold a record time
     callers = {
         "_dop853_interpolant": {"_dense_run"},
+        "_dense_coefficients": {"_dop853_interpolant", "integrate_batch"},
         "_dop853_steps": {"_dense_run", "integrate_batch", "flow_map_with_jacobian"},
     }
     seen = {name: set() for name in callers}
