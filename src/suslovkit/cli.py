@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +36,6 @@ from .measures import (
     density_params,
     density_spec,
     divergence_witness,
-    first_integral_F,
     fixture2d_residual_sweep,
     plane_defect_sweep,
     positive_c1_measure_exists,
@@ -69,8 +69,20 @@ def _emit(text: str, out: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_or_null(x):
+    """x with every float that is not finite replaced by None, which JSON
+    writes as null: inf and nan have no JSON literal."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _write_json(doc: dict, out: str | Path | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+    _emit(json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n", out)
 
 
 def _write_csv(
@@ -111,10 +123,10 @@ def _orbit_table(
     params: SuslovParams, times: np.ndarray, states: np.ndarray
 ) -> tuple[list[str], list[np.ndarray]]:
     """Columns t, omega1..3 and E of an orbit, and when a2 = 0 the first
-    integral F and log_abs_F = log|u+| + gamma log|u-|, the planes' forms
-    u+- read through linear_forms. F overflows to inf where |u-|^gamma does,
-    as on sets with a large gamma, while log_abs_F stays finite wherever
-    u+ u- != 0; it is -inf where F = 0."""
+    integral F = u+ |u-|^gamma and log_abs_F = log|u+| + gamma log|u-|, both
+    from one reading of the planes' forms u+- through linear_forms. F
+    overflows to inf where |u-|^gamma does, as on sets with a large gamma,
+    while log_abs_F stays finite wherever u+ u- != 0; it is -inf where F = 0."""
     cols = ["t", "omega1", "omega2", "omega3", "E"]
     data = [times, *states.T, energy(params, states)]
     if classA_measure_exists(params):
@@ -123,7 +135,7 @@ def _orbit_table(
         # an F beyond the doubles is inf and log 0 is -inf: both are the
         # values meant, and log_abs_F carries what F cannot
         with np.errstate(over="ignore", divide="ignore"):
-            F = first_integral_F(params, dp, states)
+            F = u_plus * np.abs(u_minus) ** dp.gamma
             log_abs_F = np.log(np.abs(u_plus)) + dp.gamma * np.log(np.abs(u_minus))
         cols += ["F", "log_abs_F"]
         data += [F, log_abs_F]

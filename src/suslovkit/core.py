@@ -127,18 +127,20 @@ def load_params(source: str | Mapping[str, float]) -> SuslovParams:
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """The matrices Ka, Ba of the reduced system, with Ka^{-1} in closed
-    form (Ka is block diagonal), from which vector_field builds its tensor Q
-    once."""
+    """The matrices Ka, Ba of the reduced system, with Ka^{-1} and Ka's
+    lower-triangular factor L (Ka = L L^T) in closed form, since Ka is block
+    diagonal. vector_field builds its tensor Q from Ka^{-1} once, and every
+    energy reads L; Ka itself is the oracle the tests check both against."""
 
     Ka: Array
     Ba: Array
     Ka_inv: Array
+    L: Array
     detKa: float
 
 
 def matrices(params: SuslovParams) -> SystemMatrices:
-    """Assemble Ka, Ba and the closed-form inverse of Ka."""
+    """Assemble Ka, Ba and the closed-form inverse and factor of Ka."""
     l1, l2, l3 = params.lam
     a1, a2, K3 = params.a1, params.a2, params.K3
     A = l1 + a1 * a1 * K3
@@ -155,9 +157,16 @@ def matrices(params: SuslovParams) -> SystemMatrices:
         [-B / d2, A / d2, 0.0],
         [0.0, 0.0, 1.0 / l3],
     ])
-    for m in (Ka, Ba, Ka_inv):
+    # L's pivot l22^2 = C - B^2 / A = d2 / A, again a sum of nonnegative terms
+    l11 = math.sqrt(A)
+    L = np.array([
+        [l11, 0.0, 0.0],
+        [B / l11, math.sqrt(l2 + l1 * (a2 * a2 * K3) / A), 0.0],
+        [0.0, 0.0, math.sqrt(l3)],
+    ])
+    for m in (Ka, Ba, Ka_inv, L):
         m.setflags(write=False)
-    return SystemMatrices(Ka=Ka, Ba=Ba, Ka_inv=Ka_inv, detKa=d2 * l3)
+    return SystemMatrices(Ka=Ka, Ba=Ba, Ka_inv=Ka_inv, L=L, detKa=d2 * l3)
 
 
 #: the Levi-Civita symbol eps_lmk
@@ -245,14 +254,17 @@ def _vector_field(mats: SystemMatrices) -> VectorFieldSpec:
 
 
 def energy(params: SuslovParams, omega: Array) -> Array:
-    """Kinetic energy E = (1/2) <Ka Omega, Omega>, a first integral."""
-    return _energy(matrices(params).Ka, omega)
+    """Kinetic energy E = (1/2) <Ka Omega, Omega> = (1/2) |L^T Omega|^2, a
+    first integral, read through Ka's closed-form factor L."""
+    return _energy(matrices(params).L, omega)
 
 
-def _energy(Ka: Array, omega: Array) -> Array:
-    """energy from Ka already built."""
-    omega = np.asarray(omega, dtype=float)
-    return 0.5 * np.sum((omega @ Ka) * omega, axis=-1)
+def _energy(L: Array, omega: Array) -> Array:
+    """energy from the factor L already built: a sum of squares, positive at
+    every nonzero Omega, where <Ka Omega, Omega> on the rounded Ka cancels
+    to 0 or below once |a| is large."""
+    y = np.asarray(omega, dtype=float) @ L
+    return 0.5 * np.sum(y * y, axis=-1)
 
 
 def multiplier_zeta(params: SuslovParams, omega: Array) -> Array:

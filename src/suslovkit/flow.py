@@ -634,7 +634,7 @@ def simulate(
     any step."""
     mats = matrices(params)
     field = _vector_field(mats)
-    e_fn = lambda w: _energy(mats.Ka, w)
+    e_fn = lambda w: _energy(mats.L, w)
     project = None
     if project_energy:
         eta0 = float(e_fn(omega0))
@@ -863,14 +863,15 @@ def reconstruct(params: SuslovParams, traj: Trajectory) -> AttitudeTrajectory:
 def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) -> Array:
     """Seeded samples on the energy ellipsoid E = eta.
 
-    Standard Gaussians g are normalized and mapped through L^{-T} (Ka = L L^T),
-    which lands exactly on the ellipsoid; the counter-based generator keeps the
-    draw reproducible and independent of any worker partitioning. count must
-    be at least 1.
+    Standard Gaussians g are normalized and mapped through L^{-T}, with L the
+    closed-form factor Ka = L L^T that matrices states and energy reads, which
+    lands on the ellipsoid to rounding at every admissible set; the
+    counter-based generator keeps the draw reproducible and independent of
+    any worker partitioning. count must be at least 1.
     """
     _check_sample_count(count, "count")
     _check_positive(eta, "eta")
-    L = np.linalg.cholesky(matrices(params).Ka)
+    L = matrices(params).L
     rng = seeded_generator(seed)
     g = rng.standard_normal((count, 3))
     y = np.sqrt(2.0 * eta) * g / _row_norms(g)[:, None]

@@ -1,7 +1,10 @@
 """Shared fixtures: the reference parameter set in its three constraint
 regimes, seeded random parameter draws, and the closed-form divergence the
-package's divergence is checked against."""
+package's divergence is checked against, and the exact energy Ka's factor
+is checked against."""
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +47,45 @@ def draw_classA_params(rng: np.random.Generator) -> SuslovParams:
         dp = density_params(p)
         if 0.3 <= dp.gamma <= 2.5:
             return p
+
+
+def admissible_draws(seed: int, count: int) -> list[dict[str, float]]:
+    """count seeded parameter sets that validate accepts: moments log-uniform
+    in 1e-6..1e6, K1, K3, |a1| and |a2| in 1e-9..1e9, with a random sign and
+    a2 = 0 on about a third of the sets."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        I3, I2, I1 = sorted(10.0 ** rng.uniform(-6.0, 6.0, 3))
+        K1, K3, a1, a2 = 10.0 ** rng.uniform(-9.0, 9.0, 4)
+        doc = {"I1": I1, "I2": I2, "I3": I3, "K1": K1, "K3": K3,
+               "a1": a1 * rng.choice([-1.0, 1.0]), "a2": a2 * rng.choice([-1.0, 0.0, 1.0])}
+        doc = {k: float(v) for k, v in doc.items()}
+        try:
+            validate(**doc)
+        except ValueError:
+            continue
+        sets.append(doc)
+    return sets
+
+
+def factor_sets() -> list[SuslovParams]:
+    """The sets Ka's factor is checked on: admissible_draws(0, 40), and
+    a1 = a2 = 1e7, 1e8 and 1e9 on the reference moments, where Ka's 2x2 block
+    rounds to nearly singular and, at 1e9, to [[1e18, 1e18], [1e18, 1e18]]."""
+    return [validate(**doc) for doc in admissible_draws(0, 40)] + [
+        validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=a, a2=a) for a in (1e7, 1e8, 1e9)
+    ]
+
+
+def exact_energy(params: SuslovParams, omega: np.ndarray) -> Fraction:
+    """(1/2) <Ka Omega, Omega> in Fractions of the doubles params and omega
+    hold, with Ka's entries formed exactly rather than rounded."""
+    l1, l2, l3 = map(Fraction, params.lam)
+    a1, a2, K3 = Fraction(params.a1), Fraction(params.a2), Fraction(params.K3)
+    w1, w2, w3 = (Fraction(float(x)) for x in omega)
+    return ((l1 + a1 * a1 * K3) * w1 * w1 + 2 * a1 * a2 * K3 * w1 * w2
+            + (l2 + a2 * a2 * K3) * w2 * w2 + l3 * w3 * w3) / 2
 
 
 def divergence_covector(params: SuslovParams) -> tuple[float, float, float]:

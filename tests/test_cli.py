@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from suslovkit.cli import main
-from suslovkit.core import validate
+
+from conftest import admissible_draws
 
 
 @pytest.fixture
@@ -171,26 +172,6 @@ _REPRODUCERS = {
 }
 
 
-def _admissible_draws(seed, count):
-    """count seeded parameter sets that validate accepts: moments log-uniform
-    in 1e-6..1e6, K1, K3, |a1| and |a2| in 1e-9..1e9, with a random sign and
-    a2 = 0 on about a third of the sets."""
-    rng = np.random.default_rng(seed)
-    sets = []
-    while len(sets) < count:
-        I3, I2, I1 = sorted(10.0 ** rng.uniform(-6.0, 6.0, 3))
-        K1, K3, a1, a2 = 10.0 ** rng.uniform(-9.0, 9.0, 4)
-        doc = {"I1": I1, "I2": I2, "I3": I3, "K1": K1, "K3": K3,
-               "a1": a1 * rng.choice([-1.0, 1.0]), "a2": a2 * rng.choice([-1.0, 0.0, 1.0])}
-        doc = {k: float(v) for k, v in doc.items()}
-        try:
-            validate(**doc)
-        except ValueError:
-            continue
-        sets.append(doc)
-    return sets
-
-
 class TestRobustnessSweep:
     """Every admissible parameter set finishes or fails with a clear error:
     no exception escapes main, under the suite's warnings-as-errors."""
@@ -206,7 +187,7 @@ class TestRobustnessSweep:
     def test_log_uniform_sets_through_analyze_and_verify(self, tmp_path, capsys):
         # simulate stays off these sets: at |a| ~ 1e7..1e8 it spends its whole
         # step budget at T = 0.01, some 30 s a set
-        for k, doc in enumerate(_admissible_draws(0, 40)):
+        for k, doc in enumerate(admissible_draws(0, 40)):
             f = tmp_path / f"p{k}.json"
             f.write_text(json.dumps(doc))
             for argv in (["analyze"], ["verify", "suslov", "--samples", "200"]):
@@ -223,6 +204,27 @@ class TestRobustnessSweep:
         f.write_text(json.dumps(_REPRODUCERS[name]))
         argv = command + ["--params", str(f), "--out", str(tmp_path / "out")]
         assert self._exit_code(argv, capsys) in (0, 2)
+
+    def test_portrait_and_projected_simulate_where_Ka_rounds_singular(self, tmp_path, capsys):
+        # on a = 1e9 Ka's 2x2 block rounds to [[1e18, 1e18], [1e18, 1e18]],
+        # which has no Cholesky factor and gives (1, -1, 0) the energy 0
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(_REPRODUCERS["a=1e9"]))
+        out = tmp_path / "portrait"
+        assert self._exit_code(["portrait", "--params", str(f), "--T", "0.01",
+                                "--samples", "2", "--out", str(out)], capsys) == 0
+        manifest = _load_report(out / "manifest.json")
+        assert manifest["files"] == ["traj_000.csv", "traj_001.csv"]
+        assert manifest["failures"] == []
+        for name in manifest["files"]:
+            cols, rows = _read_csv(out / name)
+            np.testing.assert_allclose(rows[:, cols.index("E")], 1.0, rtol=1e-6)
+        sim = tmp_path / "s.csv"
+        assert self._exit_code(["simulate", "--params", str(f), "--project-energy",
+                                "--omega0", "1,-1,0", "--T", "0.001", "--samples", "3",
+                                "--out", str(sim)], capsys) == 0
+        cols, rows = _read_csv(sim)
+        assert rows[0, cols.index("E")] == pytest.approx(3.0, rel=1e-12)
 
     def test_equilibrium_line_with_large_field_coefficients_is_a_zero(self, tmp_path, capsys):
         # |Q| ~ 1e12 here, so X(v) rounds far above 1e-10 |v|^2 on the true
@@ -297,6 +299,24 @@ class TestSimulate:
         u_plus = rows[:, cols.index("omega1")] - xi_plus * rows[:, cols.index("omega3")]
         F = rows[:, cols.index("F")]
         assert np.all(np.isinf(F)) and np.array_equal(np.sign(F), np.sign(u_plus))
+
+    def test_json_report_writes_null_for_values_that_are_not_finite(self, tmp_path):
+        # F is inf on every row of the gamma = 4477 set, and JSON has no inf
+        params = tmp_path / "g.json"
+        params.write_text(json.dumps({"I1": 1.1, "I2": 1.0, "I3": 0.9, "K1": 0.0,
+                                      "K3": 50.0, "a1": -2.0, "a2": 0.0}))
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--params", str(params), "--omega0=0.3,-0.4,0.5",
+                     "--T", "1", "--samples", "3", "--format", "json",
+                     "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        F, log_F = doc["columns"].index("F"), doc["columns"].index("log_abs_F")
+        assert len(doc["rows"]) == 3
+        assert all(row[F] is None and math.isfinite(row[log_F]) for row in doc["rows"])
 
     def test_reconstruct_theta_column(self, params_file, tmp_path):
         out = tmp_path / "s.csv"

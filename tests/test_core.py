@@ -16,7 +16,9 @@ from suslovkit.core import (
 )
 from suslovkit.fields import fd_jacobian
 
-from conftest import divergence_closed_form, divergence_covector, draw_params
+from conftest import (
+    divergence_closed_form, divergence_covector, draw_params, exact_energy, factor_sets,
+)
 
 omega_strategy = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False),
@@ -175,6 +177,23 @@ class TestMatrices:
             det = matrices(p).detKa
             assert det > 0.0
             assert abs(Fraction(det) - exact) <= 4 * eps * exact
+
+    def test_factor_reproduces_Ka(self, rng):
+        for p in [draw_params(rng) for _ in range(50)] + factor_sets():
+            m = matrices(p)
+            assert np.all(np.triu(m.L, 1) == 0.0) and np.all(np.diag(m.L) > 0.0)
+            np.testing.assert_allclose(m.L @ m.L.T, m.Ka, rtol=1e-14, atol=0.0)
+
+    def test_factor_is_lapack_cholesky_bit_for_bit_when_a2_is_zero(
+        self, rng, pstar, pstar_full, pstar_a1zero
+    ):
+        # where the two factors agree, sample_ellipsoid's draws keep the bits
+        # they had when it factored the rounded Ka with LAPACK
+        for p in [pstar, pstar_full, pstar_a1zero] + [
+            draw_params(rng, a2=0.0) for _ in range(100)
+        ]:
+            m = matrices(p)
+            np.testing.assert_array_equal(m.L, np.linalg.cholesky(m.Ka))
 
     def test_det_ka_keeps_its_bits_when_a2_is_zero(self, rng):
         # the rewritten determinant is A C - B^2 bit for bit when B = 0
@@ -344,6 +363,23 @@ class TestEnergy:
     def test_positive_away_from_origin(self, pstar_full, rng):
         for omega in rng.normal(size=(30, 3)):
             assert energy(pstar_full, omega) > 0
+
+    def test_against_exact_arithmetic_at_extreme_scales(self, rng):
+        # random points, and points on the near-null direction of Ka's 2x2
+        # block, where <Ka W, W> on the rounded Ka cancels to nothing
+        for p in factor_sets():
+            Ka = matrices(p).Ka
+            r, s = -Ka[0, 1] / Ka[1, 1], -Ka[0, 1] / Ka[0, 0]
+            pts = np.vstack([rng.normal(size=(20, 3)), [[1.0, r, 0.0], [s, 1.0, 0.0], [1.0, r, 1.0]]])
+            for omega, e in zip(pts, energy(p, pts)):
+                exact = exact_energy(p, omega)
+                assert abs(Fraction(float(e)) - exact) <= 1e-12 * exact, (p, omega)
+
+    def test_cancelling_direction_at_large_a(self):
+        # Ka's block rounds to [[1e18, 1e18], [1e18, 1e18]], on which
+        # <Ka W, W> at (1, -1, 0) is 0; the exact energy is (3.5 + 2.5) / 2
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1e9, a2=1e9)
+        assert energy(p, (1.0, -1.0, 0.0)) == pytest.approx(3.0, rel=1e-12)
 
     def test_first_integral_gradient_identity(self, rng):
         # <Ka W, X(W)> = 0: energy is conserved along the field

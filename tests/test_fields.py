@@ -276,6 +276,18 @@ def test_no_axis_norm_in_the_package():
     assert not found, f"np.linalg.norm(..., axis=...) at {found}; use fields._row_norms"
 
 
+def test_no_cholesky_call_in_the_package():
+    # Ka's factor is stated in closed form by core.matrices; a factorization
+    # of the rounded Ka fails where its 2x2 block rounds to singular
+    src = Path(__file__).resolve().parent.parent / "src" / "suslovkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("cholesky"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"cholesky call at {found}; read matrices(params).L"
+
+
 def test_one_density_constructor_and_one_positivity_check():
     # DensitySpec is built by power_product alone, and a "finite and
     # positive" error is raised by _check_positive alone

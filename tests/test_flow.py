@@ -35,7 +35,7 @@ from suslovkit.flow import (
 )
 from suslovkit.measures import density_params, density_spec, first_integral_F
 
-from conftest import draw_params
+from conftest import draw_params, exact_energy, factor_sets
 
 
 def _scipy_route(rhs, t0, y0, t1, after_step):
@@ -617,6 +617,13 @@ class TestSampleEllipsoid:
         for eta in (0.5, 1.0, 3.0):
             pts = sample_ellipsoid(pstar_full, eta, 200, seed=1)
             np.testing.assert_allclose(energy(pstar_full, pts), eta, rtol=1e-12)
+
+    def test_on_the_exact_ellipsoid_at_extreme_scales(self):
+        # in exact arithmetic, since energy reads the samples through the
+        # same factor that maps them
+        for p in factor_sets():
+            for omega in sample_ellipsoid(p, 1.0, 50, seed=3):
+                assert abs(exact_energy(p, omega) - 1) <= 1e-6, (p, omega)
 
     def test_seed_determinism(self, pstar):
         a = sample_ellipsoid(pstar, 1.0, 50, seed=42)
