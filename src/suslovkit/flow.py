@@ -60,13 +60,21 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 #: the smallest positive double, below every error norm's nonzero denominator
 _SMALLEST = math.ulp(0.0)
-#: DOP853's stages 1 to 11 as (node c, bound dot of its row of A); stage 12
-#: is at the step's end
+#: DOP853's stages 1 to 12 as (node c, bound dot of its row of A); the 12th
+#: is at the step's end, its row is the weights B, and its state is y_new
 _STAGES = [(float(_dop853.C[s]), _dop853.A[s, :s].dot) for s in range(1, _dop853.N_STAGES)]
+_STAGES.append((1.0, _dop853.B.dot))
 #: the products of the 5th- and 3rd-order error weights with the stages
 _E5_DOT, _E3_DOT = _dop853.E5.dot, _dop853.E3.dot
-#: accepted-or-rejected step budget of _dop853_steps before it gives up
+#: accepted-or-rejected step budget of _dop853_steps before it gives up, and
+#: the share of it, and least attempts, after which a run projects its total
+#: (fewer would mostly time the first steps' growth from the initial step)
 _MAX_STEPS = 1_000_000
+_PROGRESS_SHARE, _PROGRESS_MIN = 0.01, 100
+#: a batch's tile of columns holds about this many bytes of its 13 stage
+#: rows, 13 d 8 per column (2520 columns at d = 4), so that they stay in a
+#: core's 2 MiB L2 cache through an attempt
+_TILE_BYTES = 1 << 20
 #: relative and absolute tolerances of the variational, Liouville and
 #: attitude integrations
 _TOL, _ATOL = 1e-10, 1e-12
@@ -77,7 +85,8 @@ class _Step(NamedTuple):
     which its interpolant ends at; y is the state the next step starts from,
     project(y_new) when a project hook is given. y_old, y_new and y are lists
     of floats for one state and arrays for a batch. K holds the 13 stage
-    rates in the loop's buffer, which the next step overwrites."""
+    rates in the loop's buffer, for a batch a list of its tiles' buffers,
+    which the next step overwrites."""
 
     t_old: float
     t: float
@@ -240,28 +249,45 @@ def _dop853_steps(
     (_dense_coefficients), not stepped to. After each accepted step the
     state is replaced by project(y_new) when project is given, and its rate
     re-evaluated. stats, when given, holds n_accepted, n_rejected,
-    nfev (every rhs call) and the smallest and largest accepted |step|, h_min
-    and h_max, as of the last yield, or of the end of the run however it
-    ends. A step below 10 spacings of t or more than _MAX_STEPS attempts raise
-    IntegrationError labelled with what, carrying the last accepted time. A
-    t1 that is not finite, or a tol or atol that is not finite and positive,
-    raises ValueError before any step. A t1 equal to t0 then yields nothing
-    and calls rhs never.
+    nfev (every rhs call on the whole state) and the smallest and largest
+    accepted |step|, h_min and h_max, as of the last yield, or of the end of
+    the run however it ends. A step below 10 spacings of t or more than
+    _MAX_STEPS attempts raise IntegrationError labelled with what, carrying
+    the last accepted time, and so does a run whose attempts, projected at an
+    accepted step as attempts (t1 - t0) / (t - t0), exceed _MAX_STEPS, once
+    it has made _PROGRESS_SHARE of them and _PROGRESS_MIN. A t1 that is not
+    finite, or a tol or atol that is not finite and positive, raises
+    ValueError before any step. A t1 equal to t0 then yields nothing and
+    calls rhs never.
 
     One loop body serves both shapes; its leaves, picked once by y0.ndim,
     each round as scipy does, and each stage is rhs at the stage state
-    advance(y, dy, h) = y + h dy. One state runs on Python floats: y, the
-    stage states and y_new are lists, rhs takes a list and returns d floats,
-    and project takes and returns an array. Its leaves advance and
-    error_scale come from _float_leaves(d), written out term by term for the
-    state's d: on Python 3.11 a comprehension over the components is one
-    more function call, and the leaves run 13 times an attempt. Each
-    component is still the same few float operations in the same order, so
-    the steps keep scipy's bits. Stage sums stay np.dot of a row of A and
-    the earlier stages, scipy's gemv, whose fused multiply-adds a Python sum
-    would not repeat; float * and + round as numpy's elementwise ones, and
-    the scale keeps np.maximum's NaN. Times, steps and factors are Python
-    floats, whose ** calls scipy's pow, and so is the error norm.
+    advance(y, dy, h) = y + h dy, the 12th stage's state being y_new. One
+    state runs on Python floats: y, the stage states and y_new are lists,
+    rhs takes a list and returns d floats, and project takes and returns an
+    array. Its leaves advance and error_scale come from _float_leaves(d),
+    written out term by term for the state's d: on Python 3.11 a
+    comprehension over the components is one more function call, and the
+    leaves run 13 times an attempt. Each component is still the same few
+    float operations in the same order, so the steps keep scipy's bits.
+    Stage sums stay np.dot of a row of A and the earlier stages, scipy's
+    gemv, whose fused multiply-adds a Python sum would not repeat; float *
+    and + round as numpy's elementwise ones, and the scale keeps
+    np.maximum's NaN. Times, steps and factors are Python floats, whose **
+    calls scipy's pow, and so is the error norm.
+
+    A batch runs each attempt tile by tile, a tile being a range of columns
+    whose 13 stage rows take about _TILE_BYTES: its 12 stages, y_new and
+    error norm in its own buffers, whose rows then stay in L2 instead of
+    streaming from L3. The step takes the largest tile norm. Each element of
+    a tile gets the products and sums it gets in the whole batch, in the
+    same order, so the bits do not depend on the tile width: for that the
+    stage sums' gemv needs tiles a multiple of 4 columns wide, the last
+    taking in a remainder below 4. A batch's rhs maps a time and a (d, w)
+    state to its rate; its third argument, out, is the stage's row, which
+    it may write the rate into and return. The first rate and the initial
+    step's probe are taken on the whole batch, and nfev counts a tiled
+    stage once.
     """
     if not np.isfinite(t1):
         raise ValueError(f"{what}: end time must be finite, got {t1}")
@@ -271,40 +297,95 @@ def _dop853_steps(
     h_min, h_max = math.inf, 0.0
 
     def flush():
+        # item by item: a dict's update by keywords takes three times as long
         if stats is not None:
-            stats.update(n_accepted=n_accepted, n_rejected=n_rejected, nfev=nfev,
-                         h_min=h_min, h_max=h_max)
+            stats["n_accepted"], stats["n_rejected"], stats["nfev"] = n_accepted, n_rejected, nfev
+            stats["h_min"], stats["h_max"] = h_min, h_max
 
     flush()
     if t1 == t0:
         return
     direction = 1.0 if t1 > t0 else -1.0
+    toward = direction * math.inf
     n_stages = _dop853.N_STAGES
-    # the leaves: the state y + h dy, and atol + max(|y|, |y_new|) tol
-    shape = y0.shape
+    n_rows = n_stages + 1
+    # the leaves: the state y + h dy, atol + max(|y|, |y_new|) tol, a
+    # stage's rate into its row, and the one state the tiles' states join into
     if y0.ndim == 1:
         floats, array = np.ndarray.tolist, np.array
         leaves = _float_leaves(len(y0))
         advance, error_scale = leaves.advance, leaves.error_scale_for(atol, tol)
+        rate_into = lambda row: rhs
+        spans = [slice(None)]
+        join = lambda parts: parts[0][0]
     else:
         floats = array = np.asarray  # the array itself
-        advance = lambda y, dy, h: y + dy.reshape(shape) * h
-        error_scale = lambda y, y_new: atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-    # K[0] holds the rate at the state each step starts from
-    K = np.empty((n_stages + 1,) + shape)
-    K2 = K.reshape(n_stages + 1, -1)  # the stages as rows, for the combinations
-    # each stage's node, bound dot of its row of A, earlier stages and own
-    # slot, built once
-    stages = [(c, dot, K2[:s], K[s]) for s, (c, dot) in enumerate(_STAGES, start=1)]
-    b_dot, K_body = _dop853.B.dot, K2[:-1]
+        # each in place on its fresh first operand: the bits of y + dy h and
+        # of atol + np.maximum(|y|, |y_new|) tol, with fewer temporaries
+
+        def advance(y, dy, h):
+            dy = dy.reshape(y.shape)
+            dy *= h
+            dy += y
+            return dy
+
+        def error_scale(y, y_new):
+            scale = np.abs(y)
+            np.maximum(scale, np.abs(y_new), out=scale)
+            scale *= tol
+            scale += atol
+            return scale
+
+        rate_into = lambda row: lambda t, z: rhs(t, z, row)
+        # OpenBLAS's gemv forms a row's results 4 at a time and its last few
+        # one by one, so the tiles are a multiple of 4 columns wide and the
+        # last takes in a remainder below 4: each element then takes the same
+        # path in its tile as in the whole batch's row, and keeps its bits
+        n = y0.shape[1]
+        width = max(4, _TILE_BYTES // (n_rows * y0.shape[0] * y0.itemsize) // 4 * 4)
+        starts = list(range(0, n, width))
+        if len(starts) > 1 and n - starts[-1] < 4:
+            starts.pop()
+        spans = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+        join = lambda parts: np.concatenate([part for part, _, _ in parts], axis=1)
+    # each tile's 13 stage rates (K[0] the rate at the state the step starts
+    # from), the same as rows for the combinations, and its stages as (node,
+    # bound dot of the row of A, earlier stages, own row, rate into it)
+    Ks, tiles = [], []
+    for cols in spans:
+        K = np.empty((n_rows,) + y0[..., cols].shape)
+        K2 = K.reshape(n_rows, -1)
+        Ks.append(K)
+        tiles.append((K2, [(c, dot, K2[:s], K[s], rate_into(K[s]))
+                           for s, (c, dot) in enumerate(_STAGES, 1)]))
+
+    def split(y):
+        # each tile's state with its rows and stages, as the loop takes them
+        return [(y if len(tiles) == 1 else y[:, cols], K2, stages)
+                for cols, (K2, stages) in zip(spans, tiles)]
+
+    # the stage rates a _Step carries: one state's buffer, or a batch's tiles
+    K_step = Ks[0] if y0.ndim == 1 else Ks
+    progress_after = max(_PROGRESS_SHARE * _MAX_STEPS, _PROGRESS_MIN)
     try:
-        K[0] = rhs(t0, floats(y0))
-        h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, K[0], t1, tol, atol)
+        f0 = array(rhs(t0, floats(y0)))
+        for cols, K in zip(spans, Ks):
+            K[0] = f0[..., cols]
+        h_abs = _initial_step(lambda t, z: rhs(t, floats(z)), t0, y0, f0, t1, tol, atol)
         nfev = 2  # K[0] and the initial step's probe
         t, y = float(t0), floats(y0)
+        parts = split(y)
         attempts = 0
         while direction * (t - t1) < 0.0:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            if attempts >= progress_after:
+                projected = attempts * (t1 - t0) / (t - t0)
+                if projected > _MAX_STEPS:
+                    raise IntegrationError(
+                        f"{what} would need about {projected:.3g} steps to reach "
+                        f"t = {t1:.6g}, past the budget of {_MAX_STEPS}: {attempts} "
+                        f"steps reached t = {t:.6g}", t_last=t,
+                    )
+            min_step = 10 * abs(math.nextafter(t, toward) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
             while True:
@@ -322,15 +403,21 @@ def _dop853_steps(
                 if direction * (t_new - t1) > 0.0:
                     t_new = t1
                 h = t_new - t
-                # each stage state is y + h sum_j a_j K[j], rounded as scipy
-                # rounds it: the row's dot with the stages is scipy's gemv
-                for c, dot, K_before, K_s in stages:
-                    K_s[...] = rhs(t + c * h, advance(y, dot(K_before), h))
-                y_new = advance(y, b_dot(K_body), h)
-                K[-1] = rhs(t + h, y_new)
+                # tile by tile, each stage state is y + h sum_j a_j K[j],
+                # rounded as scipy rounds it (the row's dot with the stages is
+                # scipy's gemv); the step's norm is the largest tile norm, a
+                # NaN as np.max takes it, from -1, below every norm
+                ends, error_norm = [], -1.0
+                for y_part, K2, stages in parts:
+                    for c, dot, K_before, K_s, rate in stages:
+                        z = advance(y_part, dot(K_before), h)
+                        K_s[...] = rate(t + c * h, z)
+                    ends.append((z, K2, stages))
+                    # Python floats from here on: the same doubles as numpy scalars
+                    norm = _error_norm(K2, h, error_scale(y_part, z))
+                    if norm > error_norm or norm != norm:
+                        error_norm = norm
                 nfev += n_stages
-                # Python floats from here on: the same doubles as numpy scalars
-                error_norm = _error_norm(K2, h, error_scale(y, y_new))
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = _MAX_FACTOR
@@ -348,17 +435,25 @@ def _dop853_steps(
                 rejected = True
                 n_rejected += 1
             n_accepted += 1
-            h_min, h_max = min(h_min, abs(h)), max(h_max, abs(h))
-            y_next = y_new
+            # two comparisons: min and max are calls, eight times as long
+            taken = abs(h)
+            if taken < h_min:
+                h_min = taken
+            if taken > h_max:
+                h_max = taken
+            y_new = y_next = join(ends)
             if project is not None:
                 y_next = floats(np.asarray(project(array(y_new)), dtype=float))
+                ends = split(y_next)
             flush()
-            yield _Step(t, t_new, y, y_new, K, y_next)
-            t, y = t_new, y_next
+            yield _Step(t, t_new, y, y_new, K_step, y_next)
+            t, y, parts = t_new, y_next, ends
             if project is None:
-                K[0] = K[-1]
+                for K in Ks:
+                    K[0] = K[-1]
             else:
-                K[0] = rhs(t, y)
+                for K, (y_part, _, _) in zip(Ks, parts):
+                    K[0] = rhs(t, y_part)
                 nfev += 1
     finally:
         flush()
@@ -668,8 +763,11 @@ def integrate_batch(
     is that of the worst state, so the step honors the tolerance for every
     member of the batch, and a batch of one state takes integrate's steps
     unless the last bit of its error norm's square differs (see _error_norm).
-    The states are kept column-major, so the field evaluates each stage
-    without a copy. Each of record_times, in (0, T], is read off the DOP853
+    Each attempt runs on tiles of columns whose stage rows, about 1 MiB,
+    stay in L2 (see _dop853_steps); the bits do not depend on the tile
+    width. The states are kept column-major: field.eval takes a tile's stage
+    state as a transposed view, and the rate it returns is copied into the
+    stage's row. Each of record_times, in (0, T], is read off the DOP853
     interpolant of the accepted step that holds it, as integrate reads its
     record_times off its dense output; the steps are the same with or
     without them, and a batch of one state records integrate's dense(r).
@@ -694,7 +792,7 @@ def integrate_batch(
         raise ValueError("record_times must lie in (0, T]")
 
     # a (d, n) C-ordered state is the (n, d) column-major batch, transposed
-    rhs = lambda t, z: field.eval(z.T).T
+    rhs = lambda t, z, out=None: field.eval(z.T).T  # the loop copies it into out
     Z = np.asfortranarray(Y).T
     recorded: list[tuple[float, Array]] = []
     i_rec = n_dense = 0
@@ -708,7 +806,8 @@ def integrate_batch(
                     ends = [np.full(len(Y), t) for t in (step.t_old, step.t)]
                     y_old = step.y_old.T
                     F = _dense_coefficients(lambda t, y: field.eval(y), *ends, y_old,
-                                            step.y_new.T, step.K.transpose(2, 0, 1))
+                                            step.y_new.T,
+                                            np.concatenate(step.K, axis=-1).transpose(2, 0, 1))
                     n_dense += 1
                 theta = (rec[i_rec] - step.t_old) / (step.t - step.t_old)
                 recorded.append((rec[i_rec], _interpolate(theta, y_old, F)))
@@ -1017,23 +1116,25 @@ def _log_volume_flow(
     field: VectorFieldSpec, x0: Array, t: float, tol: float, atol: float
 ) -> tuple[Array, Array]:
     """Endpoints phi_t(x0) of a batch and their log-volumes log|det D phi_t(x0)|,
-    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0."""
+    from one batch integration of (x, l) with x' = X(x), l' = div X(x), l(0) = 0.
+    It steps the batch as integrate_batch does, with the states as columns
+    (dim + 1, n), and writes each stage's rate straight into its stage row."""
     dim = field.dim
 
-    def evaluate(y: Array) -> Array:
-        x = y[:, :dim]
-        rate = np.empty(y.shape, order="F")
+    def rhs(t, z, out=None):
+        x = z[:dim].T
+        if out is None:
+            out = np.empty(z.shape)
         # the divergence first, so a trace's Jacobians are freed before eval allocates
-        rate[:, dim] = field.div(x)
-        rate[:, :dim] = field.eval(x)
-        return rate
+        out[dim] = field.div(x)
+        out[:dim] = field.eval(x).T
+        return out
 
-    y0 = np.zeros((len(x0), dim + 1), order="F")
-    y0[:, :dim] = x0
-    y_end, _ = integrate_batch(
-        VectorFieldSpec(dim=dim + 1, eval=evaluate), y0, t, tol=tol, atol=atol
-    )
-    return y_end[:, :dim], y_end[:, dim]
+    z = np.zeros((dim + 1, len(x0)))
+    z[:dim] = x0.T
+    for step in _dop853_steps(rhs, 0.0, z, t, tol, atol, "batch integration"):
+        z = step.y
+    return z[:dim].T, z[dim]
 
 
 def _require_finite(values: Array, what: str) -> None:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 import warnings
 from pathlib import Path
 
@@ -185,8 +187,8 @@ class TestRobustnessSweep:
         return rc
 
     def test_log_uniform_sets_through_analyze_and_verify(self, tmp_path, capsys):
-        # simulate stays off these sets: at |a| ~ 1e7..1e8 it spends its whole
-        # step budget at T = 0.01, some 30 s a set
+        # simulate stays off these sets: at |a| ~ 1e7..1e8 a run to T = 0.01
+        # that finishes may take some 350 000 steps, 15 s a set
         for k, doc in enumerate(admissible_draws(0, 40)):
             f = tmp_path / f"p{k}.json"
             f.write_text(json.dumps(doc))
@@ -204,6 +206,21 @@ class TestRobustnessSweep:
         f.write_text(json.dumps(_REPRODUCERS[name]))
         argv = command + ["--params", str(f), "--out", str(tmp_path / "out")]
         assert self._exit_code(argv, capsys) in (0, 2)
+
+    def test_simulate_past_its_budget_is_refused_early_with_the_projection(self, tmp_path,
+                                                                          capsys):
+        # T = 0.01 needs some 1.6e6 steps here: the run is refused once it
+        # has used 1% of the 1e6-step budget, not after all of it (37 s)
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"I1": 44.0, "I2": 1.7e-3, "I3": 3.1e-6, "K1": 2e-9,
+                                 "K3": 4.4e5, "a1": 2.7e7, "a2": 83.0}))
+        start = time.perf_counter()
+        rc = main(["simulate", "--params", str(f), "--omega0", "0.3,-0.4,0.5",
+                   "--T", "0.01", "--out", str(tmp_path / "out")])
+        assert rc == 2 and time.perf_counter() - start < 10.0
+        assert re.fullmatch(r"error: integration would need about 1\.\d+e\+06 steps to reach "
+                            r"t = 0\.01, past the budget of 1000000: \d+ steps reached t = \S+\n",
+                            capsys.readouterr().err)
 
     def test_portrait_and_projected_simulate_where_Ka_rounds_singular(self, tmp_path, capsys):
         # on a = 1e9 Ka's 2x2 block rounds to [[1e18, 1e18], [1e18, 1e18]],

@@ -2,6 +2,7 @@ import ast
 import math
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from scipy.integrate import DOP853, OdeSolution
 import suslovkit
 from suslovkit import flow
 from suslovkit.core import energy, validate, vector_field
+from suslovkit.equilibria import equilibrium_directions, scale_to_ellipsoid
 from suslovkit.fields import DensitySpec, VectorFieldSpec, example2d, example2d_density
 from suslovkit.flow import (
     IntegrationError,
@@ -89,6 +91,13 @@ def _counting(field):
         return field.eval(x)
 
     return VectorFieldSpec(dim=field.dim, eval=evaluate, jac=field.jac), calls
+
+
+def _tiles_of(monkeypatch, d, width):
+    """Set the batch's tile to width columns for states of dimension d, by
+    the byte budget of its 13 stage rows; returns width."""
+    monkeypatch.setattr(flow, "_TILE_BYTES", 13 * d * 8 * width)
+    return width
 
 
 def _endpoint(field, x0, T, **kw):
@@ -806,6 +815,112 @@ class TestBatchIntegrator:
             integrate_batch(f, x0, 5.0)
         assert exc.value.t_last == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bad_row_in_the_last_tile_ends_in_an_error(self, pstar, bad, monkeypatch):
+        # the step takes the largest tile norm as np.max does, so a NaN or inf
+        # from the last tile is not dropped by a finite norm before it
+        width = _tiles_of(monkeypatch, 3, 16)
+        x0 = sample_ellipsoid(pstar, 1.0, 3 * width + 1, seed=2)
+        x0[-1] = [bad, 0.2, 0.9]
+        with pytest.raises(IntegrationError, match="step size") as exc:
+            with np.errstate(invalid="ignore", over="ignore"):
+                integrate_batch(vector_field(pstar), x0, 5.0)
+        assert exc.value.t_last == 0.0
+
+    @pytest.mark.parametrize("T", [20.0, -20.0])
+    def test_tile_width_leaves_every_bit(self, pstar_full, T, monkeypatch):
+        # 3 widths and 1 column: three tiles, the last taking in the column
+        # left over, take the steps and record the states of the same batch
+        # as one tile, and a tiled stage counts as one evaluation
+        f = vector_field(pstar_full)
+        x0 = sample_ellipsoid(pstar_full, 1.0, 3 * 16 + 1, seed=4)
+        grid = [T * c for c in (0.1, 1 / 3, 0.77, 1.0)]
+        runs = []
+        for width in (None, 16):
+            if width is not None:
+                _tiles_of(monkeypatch, 3, width)
+            f_counted, calls = _counting(f)
+            stats = {}
+            runs.append((integrate_batch(f_counted, x0, T, record_times=grid, stats=stats),
+                         stats, calls[0]))
+        ((Y, recs), stats, calls), ((Y_t, recs_t), stats_t, calls_t) = runs
+        np.testing.assert_array_equal(_bits(Y_t), _bits(Y))
+        assert [r for r, _ in recs_t] == [r for r, _ in recs] == grid
+        for (_, snap_t), (_, snap) in zip(recs_t, recs):
+            np.testing.assert_array_equal(_bits(snap_t), _bits(snap))
+        assert stats_t == stats and stats["n_rejected"] > 0
+        # the first rate, the initial step's probe and the dense stages are
+        # taken on the whole batch, and each attempt's 12 stages on each tile
+        assert calls == stats["nfev"]
+        assert calls_t - calls == 2 * 12 * (stats["n_accepted"] + stats["n_rejected"])
+
+    def test_tile_width_leaves_every_bit_of_the_log_volume(self, pstar, monkeypatch):
+        # the d = 4 (x, l) batch, whose rates are written straight into their
+        # stage rows
+        x0 = np.random.default_rng(5).uniform(0.8, 1.2, size=(3 * 16 + 1, 3))
+        real = flow._dop853_steps
+        runs = []
+        for width in (None, 16):
+            if width is not None:
+                _tiles_of(monkeypatch, 4, width)
+            stats = {}
+            monkeypatch.setattr(flow, "_dop853_steps",
+                                lambda *a, **kw: real(*a, **kw, stats=stats))
+            f, calls = _counting(vector_field(pstar))
+            runs.append((_log_volume_flow(f, x0, 5.0, 1e-8, 1e-10), stats, calls[0]))
+        ((x, ell), stats, calls), ((x_t, ell_t), stats_t, calls_t) = runs
+        np.testing.assert_array_equal(_bits(x_t), _bits(x))
+        np.testing.assert_array_equal(_bits(ell_t), _bits(ell))
+        assert stats_t == stats and stats["n_accepted"] > 0
+        assert calls_t - calls == 2 * 12 * (stats["n_accepted"] + stats["n_rejected"])
+
+
+#: the high-|a| set: I = (44, 1.7e-3, 3.1e-6), K1 = 2e-9, K3 = 4.4e5, a1 =
+#: 2.7e7, a2 = 83, where T = 0.01 from (0.3, -0.4, 0.5) needs some 1.6e6 steps
+HIGH_A = dict(I1=44.0, I2=1.7e-3, I3=3.1e-6, K1=2e-9, K3=4.4e5, a1=2.7e7, a2=83.0)
+
+
+class TestProgress:
+    """Past a share of its step budget, a run projects the attempts it needs
+    from its rate so far and is refused at once when they exceed the budget."""
+
+    def test_a_run_past_its_budget_is_refused_early(self):
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError, match=(
+                r"integration would need about 1\.\d+e\+06 steps to reach t = 0\.01, "
+                r"past the budget of 1000000: \d+ steps reached t = ")) as exc:
+            simulate(validate(**HIGH_A), np.array([0.3, -0.4, 0.5]), 0.01)
+        assert time.perf_counter() - start < 10.0
+        assert 0.0 < exc.value.t_last < 0.01
+
+    def test_a_run_that_slows_late_is_not_refused(self, pstar_full, monkeypatch):
+        # near the saddle v2 the field is small and the steps long; leaving
+        # it, they shorten, so the projection rises along the run but stays
+        # below the attempts it ends with
+        f = vector_field(pstar_full)
+        v2 = scale_to_ellipsoid(pstar_full, equilibrium_directions(pstar_full)[1], 1.0)
+        x0, T = v2 + 1e-6 * np.array([1.0, 0.3, -0.2]), 60.0
+        ref = integrate(f, x0, T)
+        monkeypatch.setattr(flow, "_PROGRESS_MIN", 10)
+        stats, seen = {}, []
+        for step in flow._dop853_steps(lambda t, y: f.point(y), 0.0, x0, T, 1e-10, 1e-12,
+                                       "integration", stats=stats):
+            seen.append((step.t, stats["n_accepted"] + stats["n_rejected"]))
+        total = seen[-1][1]
+        # it slows late: the first half of the run takes under a third of its attempts
+        assert max(a for t, a in seen if t <= T / 2) < total / 3
+        # the loop projects at each accepted step but the last, from 10 attempts on
+        projected = max(a * T / t for t, a in seen[:-1] if a >= 10)
+        assert projected <= total
+        monkeypatch.setattr(flow, "_MAX_STEPS", total)
+        within = integrate(f, x0, T)
+        np.testing.assert_array_equal(_bits(within.states), _bits(ref.states))
+        assert within.integrator_stats == ref.integrator_stats
+        # a budget below its largest projection refuses it by the projection
+        monkeypatch.setattr(flow, "_MAX_STEPS", math.ceil(projected) - 1)
+        with pytest.raises(IntegrationError, match="would need about"):
+            integrate(f, x0, T)
+
 
 _X0_2D = np.array([1.0, 1.5])
 _BOX_2D = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -961,7 +1076,8 @@ def test_dense_output_is_built_by_dense_run_alone():
     callers = {
         "_dop853_interpolant": {"_dense_run"},
         "_dense_coefficients": {"_dop853_interpolant", "integrate_batch"},
-        "_dop853_steps": {"_dense_run", "integrate_batch", "flow_map_with_jacobian"},
+        "_dop853_steps": {"_dense_run", "integrate_batch", "flow_map_with_jacobian",
+                          "_log_volume_flow"},
     }
     seen = {name: set() for name in callers}
     for top in ast.parse(Path(flow.__file__).read_text()).body:
