@@ -12,8 +12,13 @@ J = J(v_i),
 p(z) is also det(z Ka - G) for the linearization G = Ka J of
 (Ba Omega) x Omega. Its constant term -det(Ka) det J vanishes because
 J(v) v = 2 X(v) = 0: the zero root is motion along the equilibrium line.
-The signs of alpha and beta classify the restricted equilibria, and
-tr J(v) = div X(v) makes alpha = -det(Ka) div X(v_i).
+tr J(v) = div X(v) makes alpha = -det(Ka) div X(v_i). For lambda1 > lambda2 >
+lambda3 > 0 the closed forms give beta_1, beta_3 > 0 > beta_2, alpha_1 = -a2
+(positive) and alpha_3 = -a1 a2 (positive). So line 2 is a saddle; line 1 is a
+pair of linear centers iff a2 = 0, line 3 iff a1 = 0 or a2 = 0, and any other
+line a source-sink pair with its sink at sign(alpha_i) v_i. The reported alpha
+and beta are the float J route's diagnostics, which the class does not read:
+they lose their sign where their terms cancel (beta is 0.0 on all lines at a = 1e9).
 """
 from __future__ import annotations
 
@@ -142,32 +147,28 @@ def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[fl
         alpha = -a1 * a2 * K3 * (l1 - l2) * l3
     else:
         raise ValueError("equilibrium index must be 1, 2 or 3")
-    # + 0.0 turns the -0.0 of a vanishing product into 0.0
-    return alpha + 0.0, beta
+    # + 0 turns the -0.0 of a vanishing product into 0.0; rationals stay exact
+    return alpha + 0, beta
 
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:
-    """Classify the equilibrium pair +-v_i from the signs of (alpha, beta).
-    alpha counts as zero when |alpha| <= 1e-10 det(Ka) ||J||_F, and beta when
-    |beta| <= 1e-10 det(Ka) ||J||_F^2, which is a degenerate line (ValueError).
-    Each test has the degree of the coefficient it judges, so the table is the
-    same in every unit of the moments and for every representative c v_i."""
+    """Classify +-v_i by the module docstring's table of sign(a1), sign(a2)."""
     v, J, detKa = _linearization(params, i)
     alpha, beta = _coefficients(J, detKa)
-    jj = float(np.vdot(J, J))  # ||J||_F^2
-    if abs(beta) <= 1e-10 * detKa * jj:
-        raise ValueError(f"degenerate equilibrium line V_{i}: beta vanishes")
+    s1, s2 = ((a > 0.0) - (a < 0.0) for a in (params.a1, params.a2))
+    # sign(alpha_i) as a product of signs: a1 a2 itself underflows to 0
+    sink = -s2 if i == 1 else -s1 * s2
     src = snk = None
     note = ""
-    if beta < 0.0:
+    if i == 2:
         cls = Classification.SADDLE
-    elif abs(alpha) <= 1e-10 * detKa * np.sqrt(jj):
+    elif sink == 0:
         cls = Classification.LINEAR_CENTER_PAIR
         note = "nonlinear center on the energy ellipsoid (known result, not verified here)"
     else:
         cls = Classification.SOURCE_SINK_PAIR
         # alpha < 0: v_i is the source and -v_i the sink; alpha > 0 swaps them
-        src, snk = (1, -1) if alpha < 0.0 else (-1, 1)
+        src, snk = -sink, sink
     return EquilibriumReport(
         index=i, lambda_i=params.lam[i - 1], direction=v, alpha=alpha, beta=beta,
         classification=cls, source_sign=src, sink_sign=snk, annotation=note,

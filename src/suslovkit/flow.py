@@ -682,10 +682,9 @@ def integrate(
         raise ValueError("integration horizon T must be nonzero")
     if record_times is not None:
         grid = np.asarray(record_times, dtype=float)
-        lo, hi = min(0.0, T), max(0.0, T)
         # the bounds are asserted, not their breach, so a NaN time fails
         # them; a T that is not finite is left to the stepper, which names it
-        if np.isfinite(T) and not np.all((grid >= lo - 1e-12) & (grid <= hi + 1e-12)):
+        if np.isfinite(T) and not np.all((grid >= min(0.0, T)) & (grid <= max(0.0, T))):
             raise ValueError("record_times must lie within the integration span")
 
     ts, states, dense, stats = _dense_run(

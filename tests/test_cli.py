@@ -172,11 +172,15 @@ _REPRODUCERS = {
     "a=1e9": {"I1": 3, "I2": 2, "I3": 1, "K1": 0.5, "K3": 1, "a1": 1e9, "a2": 1e9},
     "K1=1e17": {"I1": 3, "I2": 2, "I3": 1, "K1": 1e17, "K3": 1, "a1": 1, "a2": 0},
 }
+#: the high-|a| set, where DOP853 needs some 1.6e6 steps to reach T = 0.01
+_HIGH_A = {"I1": 44.0, "I2": 1.7e-3, "I3": 3.1e-6, "K1": 2e-9, "K3": 4.4e5,
+           "a1": 2.7e7, "a2": 83.0}
 
 
 class TestRobustnessSweep:
     """Every admissible parameter set finishes or fails with a clear error:
-    no exception escapes main, under the suite's warnings-as-errors."""
+    no exception escapes main, under the suite's warnings-as-errors; and
+    analyze classifies every line of every admissible set."""
 
     @staticmethod
     def _exit_code(argv, capsys):
@@ -192,9 +196,10 @@ class TestRobustnessSweep:
         for k, doc in enumerate(admissible_draws(0, 40)):
             f = tmp_path / f"p{k}.json"
             f.write_text(json.dumps(doc))
-            for argv in (["analyze"], ["verify", "suslov", "--samples", "200"]):
+            for argv, codes in ((["analyze"], (0,)),
+                                (["verify", "suslov", "--samples", "200"], (0, 1, 2))):
                 argv = argv + ["--params", str(f), "--out", str(tmp_path / "out.json")]
-                assert self._exit_code(argv, capsys) in (0, 1, 2), doc
+                assert self._exit_code(argv, capsys) in codes, doc
 
     @pytest.mark.parametrize("command", [
         ["analyze"], ["verify", "suslov"], ["simulate", "--omega0", "0.3,-0.4,0.5", "--T", "0.01"],
@@ -205,15 +210,27 @@ class TestRobustnessSweep:
         f = tmp_path / "p.json"
         f.write_text(json.dumps(_REPRODUCERS[name]))
         argv = command + ["--params", str(f), "--out", str(tmp_path / "out")]
-        assert self._exit_code(argv, capsys) in (0, 2)
+        codes = (0, 2)
+        if command == ["analyze"]:
+            # analyze classifies every admissible set; validate refuses K1 = 1e17
+            codes = (2,) if name == "K1=1e17" else (0,)
+        assert self._exit_code(argv, capsys) in codes
+
+    def test_high_a_set_is_analyzed(self, tmp_path, capsys):
+        # the float beta_3 reads -7.3e-7 here against the exact +2.3e-7
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(_HIGH_A))
+        out = tmp_path / "a.json"
+        assert self._exit_code(["analyze", "--params", str(f), "--out", str(out)], capsys) == 0
+        kinds = [e["classification"] for e in _load_report(out)["equilibria"]]
+        assert kinds == ["SourceSinkPair", "Saddle", "SourceSinkPair"]
 
     def test_simulate_past_its_budget_is_refused_early_with_the_projection(self, tmp_path,
                                                                           capsys):
         # T = 0.01 needs some 1.6e6 steps here: the run is refused once it
         # has used 1% of the 1e6-step budget, not after all of it (37 s)
         f = tmp_path / "p.json"
-        f.write_text(json.dumps({"I1": 44.0, "I2": 1.7e-3, "I3": 3.1e-6, "K1": 2e-9,
-                                 "K3": 4.4e5, "a1": 2.7e7, "a2": 83.0}))
+        f.write_text(json.dumps(_HIGH_A))
         start = time.perf_counter()
         rc = main(["simulate", "--params", str(f), "--omega0", "0.3,-0.4,0.5",
                    "--T", "0.01", "--out", str(tmp_path / "out")])
@@ -252,7 +269,7 @@ class TestRobustnessSweep:
                "K3": 1.2468234061068442, "a1": -14681695.392026577, "a2": -1.8565838151921918}
         f = tmp_path / "p.json"
         f.write_text(json.dumps(doc))
-        assert self._exit_code(["analyze", "--params", str(f)], capsys) in (0, 2)
+        assert self._exit_code(["analyze", "--params", str(f)], capsys) == 0
 
 
 class TestSimulate:

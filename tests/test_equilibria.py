@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +15,72 @@ from suslovkit.equilibria import (
     stability_coefficients,
     stability_coefficients_closed_form,
 )
+from suslovkit.measures import classA_measure_exists
 
-from conftest import divergence_closed_form, draw_params
+from conftest import admissible_draws, divergence_closed_form, draw_params
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def exact_lines(p, flip=False):
+    """For each line i = 1, 2, 3: (X(v_i), alpha, beta, the closed forms) in
+    Fractions of the doubles p holds. Q = Ka^-1 eps Ba is summed as
+    _vector_field sums it, J_ij = P_ijk v_k with P_ijk = Q_ijk + Q_ikj,
+    alpha = -det Ka tr J and beta = det Ka (sum of J's principal 2x2 minors).
+    flip negates Ba's (3, 1) entry, a mutant of the field."""
+    l1, l2, l3 = map(Fraction, p.lam)
+    a1, a2, K3 = map(Fraction, (p.a1, p.a2, p.K3))
+    A, B, C = l1 + a1 * a1 * K3, a1 * a2 * K3, l2 + a2 * a2 * K3
+    d2 = A * C - B * B
+    Ka_inv = [[C / d2, -B / d2, 0], [-B / d2, A / d2, 0], [0, 0, 1 / l3]]
+    Ba = [[l1, 0, 0], [0, l2, 0], [(a1 if flip else -a1) * K3, -a2 * K3, l3]]
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+           (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+    Q = [[[sum(Ka_inv[i][l] * e * Ba[m][j] for (l, m, k2), e in eps.items() if k2 == k)
+           for k in range(3)] for j in range(3)] for i in range(3)]
+    detKa = d2 * l3
+    exact = SimpleNamespace(lam=(l1, l2, l3), a1=a1, a2=a2, K3=K3)
+    out = []
+    for n, v in enumerate([(l3 - l1, 0, a1 * K3), (0, l3 - l2, a2 * K3), (0, 0, 1)], start=1):
+        X = [sum(Q[i][j][k] * v[j] * v[k] for j in range(3) for k in range(3))
+             for i in range(3)]
+        J = [[sum((Q[i][j][k] + Q[i][k][j]) * v[k] for k in range(3)) for j in range(3)]
+             for i in range(3)]
+        minors = sum(J[i][i] * J[j][j] - J[i][j] * J[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        out.append((X, -detKa * (J[0][0] + J[1][1] + J[2][2]), detKa * minors,
+                    stability_coefficients_closed_form(exact, n)))
+    return out
+
+
+def sign_table(p):
+    """The table the closed forms prove for lambda1 > lambda2 > lambda3 > 0,
+    as (sign beta, sign alpha) per line; line 2's alpha sign is not read."""
+    s1, s2 = _sign(p.a1), _sign(p.a2)
+    return [(1, -s2), (-1, None), (1, -s1 * s2)]
+
+
+def sign_lemma_failures(p, flip=False):
+    """The checks that fail on p, as (line, check): X(v_i) = 0, the exact
+    (alpha, beta) equal to the closed forms, their signs equal to the
+    table's, and classify returning the table."""
+    failed = []
+    lines = exact_lines(p, flip)
+    for i, ((X, alpha, beta, cf), (sb, sa)) in enumerate(zip(lines, sign_table(p)), start=1):
+        if any(X):
+            failed.append((i, "zero"))
+        if (alpha, beta) != cf:
+            failed.append((i, "closed form"))
+        if _sign(beta) != sb or (sa is not None and _sign(alpha) != sa):
+            failed.append((i, "signs"))
+        r = classify(p, i)
+        want = ((Classification.SADDLE, None) if sb < 0 else
+                (Classification.LINEAR_CENTER_PAIR, None) if sa == 0 else
+                (Classification.SOURCE_SINK_PAIR, sa))
+        if (r.classification, r.sink_sign) != want:
+            failed.append((i, "classify"))
+    return failed
 
 
 def cross_product_linearization(p, i, v):
@@ -265,30 +331,26 @@ class TestClassify:
                 if abs(alpha) > 1e-8 * max(abs(beta), 1.0):
                     assert np.sign(coeffs[1]) == np.sign(alpha)
 
-    def test_alpha_tolerance_agrees_with_closed_form(self, rng):
-        # |a2| in [1e-12, 1e-6] puts alpha_1 and alpha_3 on both sides of
-        # classify's zero threshold 1e-10 det(Ka) ||J(v_i)||_F; the closed
-        # form, judged by the same threshold, must give the same classification
-        seen = set()
+    def test_small_a2_gives_source_sink_pairs(self, rng):
+        # |a2| in [1e-12, 1e-6] makes alpha_1 and alpha_3 tiny against J's
+        # scale; they are still nonzero, so lines 1 and 3 are source-sink
+        # pairs, with the sink on the side of the closed form's alpha
         for _ in range(300):
             a2 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -6.0)
             p = draw_params(rng, a2=a2)
-            jac = vector_field(p).jac
-            for i, v in enumerate(equilibrium_directions(p), start=1):
-                alpha_cf, beta_cf = stability_coefficients_closed_form(p, i)
+            for i in (1, 3):
+                alpha_cf, _ = stability_coefficients_closed_form(p, i)
                 r = classify(p, i)
-                if beta_cf < 0.0:
-                    assert r.classification is Classification.SADDLE
-                elif abs(alpha_cf) <= 1e-10 * matrices(p).detKa * np.linalg.norm(jac(v)):
-                    assert r.classification is Classification.LINEAR_CENTER_PAIR
-                else:
-                    assert r.classification is Classification.SOURCE_SINK_PAIR
-                    assert r.sink_sign == (-1 if alpha_cf < 0.0 else 1)
-                seen.add((i, r.classification))
-        # both sides of the threshold were reached on lines 1 and 3
-        for i in (1, 3):
-            assert (i, Classification.LINEAR_CENTER_PAIR) in seen
-            assert (i, Classification.SOURCE_SINK_PAIR) in seen
+                assert r.classification is Classification.SOURCE_SINK_PAIR
+                assert r.sink_sign == (-1 if alpha_cf < 0.0 else 1)
+
+    def test_classA_measure_exists_iff_no_line_holds_a_sink(self):
+        # the two halves of the dichotomy: a sink rules out a measure finite
+        # near it, and a2 = 0, where no line holds one, keeps the density
+        for doc in admissible_draws(0, 300):
+            p = validate(**doc)
+            kinds = {classify(p, i).classification for i in (1, 2, 3)}
+            assert classA_measure_exists(p) is (Classification.SOURCE_SINK_PAIR not in kinds)
 
     @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e4, 1e6])
     def test_table_is_the_same_in_every_unit(self, rng, s):
@@ -309,14 +371,14 @@ class TestClassify:
         with pytest.raises(ValueError, match="equilibrium index must be 1, 2 or 3"):
             route(pstar_full, i)
 
-    def test_degenerate_line_is_named(self):
-        # I1 - I2 = 1e-11 makes beta vanish on lines 1 and 2 (both carry the
-        # factor l1 - l2); line 3 keeps beta = (l1 - l3)(l2 - l3) l3
+    def test_nearly_equal_moments_keep_the_table(self):
+        # I1 - I2 = 1e-11 leaves beta_1 = 1.33e-10, beta_2 = -1.33e-10 and
+        # alpha_3 = -1.0e-11: small, but no line is degenerate or a center
         p = validate(2.0 + 1e-11, 2.0, 1.0, 0.5, 1.0, a1=1.0, a2=1.0)
-        for i in (1, 2):
-            with pytest.raises(ValueError, match=f"degenerate equilibrium line V_{i}"):
-                classify(p, i)
-        assert classify(p, 3).classification is Classification.LINEAR_CENTER_PAIR
+        r1, r2, r3 = (classify(p, i) for i in (1, 2, 3))
+        assert (r1.classification, r1.sink_sign) == (Classification.SOURCE_SINK_PAIR, -1)
+        assert r2.classification is Classification.SADDLE
+        assert (r3.classification, r3.sink_sign) == (Classification.SOURCE_SINK_PAIR, -1)
 
     def test_report_json_lists_the_fields_in_order(self, pstar_full):
         r = classify(pstar_full, 1)
@@ -333,3 +395,43 @@ class TestClassify:
         assert d["classification"] == "SourceSinkPair"
         assert d["index"] == 1
         assert len(d["direction"]) == 3
+
+
+class TestSignLemma:
+    """The closed forms fix the signs of beta on every line and of alpha on
+    lines 1 and 3 by sign(a1) and sign(a2) alone, which is the table
+    classify reads. Proved here in exact arithmetic on seeded admissible
+    sets: the J route in Fractions equals the closed forms, its signs are
+    the table's, and classify returns it."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_on_admissible_draws(self, seed):
+        for doc in admissible_draws(seed, 300):
+            assert sign_lemma_failures(validate(**doc)) == [], doc
+
+    def test_a_mutant_field_fails_the_check(self):
+        # with Ba's (3, 1) entry of the other sign, v_1 is no zero and the
+        # exact coefficients leave the closed forms, on every draw (a1 != 0)
+        for doc in admissible_draws(0, 300):
+            failed = sign_lemma_failures(validate(**doc), flip=True)
+            assert (1, "zero") in failed and (1, "closed form") in failed, doc
+
+    def test_where_a1_a2_underflows(self):
+        # a1 a2 = 1e-400 rounds to 0, and the float alpha_3 with it; the
+        # product of the signs still gives alpha_3 < 0, as alpha_1 = -8.75e-200
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1e-200, a2=1e-200)
+        assert sign_lemma_failures(p) == []
+        assert classify(p, 3).alpha == 0.0
+        for i in (1, 3):
+            r = classify(p, i)
+            assert (r.classification, r.sink_sign) == (Classification.SOURCE_SINK_PAIR, -1)
+
+    def test_where_the_float_beta_cancels(self):
+        # at a = 1e9 the float beta is 0.0 on every line against the exact
+        # 1.8e19, -4.9e18 and 3.75; the class does not read it
+        p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1e9, a2=1e9)
+        assert sign_lemma_failures(p) == []
+        reports = [classify(p, i) for i in (1, 2, 3)]
+        assert [r.beta for r in reports] == [0.0, 0.0, 0.0]
+        assert [r.classification.value for r in reports] == [
+            "SourceSinkPair", "Saddle", "SourceSinkPair"]

@@ -171,6 +171,13 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="record_times"):
             simulate(pstar, np.array([0.3, -0.4, 0.5]), T, record_times=grid)
 
+    @pytest.mark.parametrize("t", [5e-13, -5e-13])
+    def test_record_time_just_outside_the_span_is_refused(self, pstar, t):
+        # 5e-13 is five horizons past T = 1e-13, and -5e-13 lies before the
+        # start: neither may be read off the dense output by extrapolation
+        with pytest.raises(ValueError, match="record_times"):
+            simulate(pstar, np.array([0.3, -0.4, 0.5]), 1e-13, record_times=[t])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_rejected_before_any_step(self, pstar, bad):
         # the variational route too, and no RuntimeWarning on the way
