@@ -16,9 +16,10 @@ tr J(v) = div X(v) makes alpha = -det(Ka) div X(v_i). For lambda1 > lambda2 >
 lambda3 > 0 the closed forms give beta_1, beta_3 > 0 > beta_2, alpha_1 = -a2
 (positive) and alpha_3 = -a1 a2 (positive). So line 2 is a saddle; line 1 is a
 pair of linear centers iff a2 = 0, line 3 iff a1 = 0 or a2 = 0, and any other
-line a source-sink pair with its sink at sign(alpha_i) v_i. The reported alpha
-and beta are the float J route's diagnostics, which the class does not read:
-they lose their sign where their terms cancel (beta is 0.0 on all lines at a = 1e9).
+line a source-sink pair with its sink at sign(alpha_i) v_i. A report carries
+the closed forms, whose signs are the table's; the float J route,
+stability_coefficients, is kept as the oracle they are tested against. It
+loses the sign where its terms cancel (beta is 0.0 on all lines at a = 1e9).
 """
 from __future__ import annotations
 
@@ -104,28 +105,17 @@ def scale_to_ellipsoid(params: SuslovParams, v: Array, eta: float, sign: int = 1
     return sign * np.sqrt(eta / e) * v
 
 
-def _linearization(params: SuslovParams, i: int) -> tuple[Array, Array, float]:
-    """The representative v_i of the i-th line, checked to be a zero of the
-    field, the field Jacobian J(v_i) and det Ka."""
+def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
+    """Coefficients (alpha, beta) of p(z) = det(Ka) det(z I - J(v_i)), from
+    the field Jacobian at the zero-checked v_i: the oracle of the closed forms."""
     if i not in (1, 2, 3):
         raise ValueError("equilibrium index must be 1, 2 or 3")
     mats = matrices(params)
     field = _vector_field(mats)
-    v = _checked_zero(field, _line_directions(params)[i - 1])
-    return v, field.jac(v), mats.detKa
-
-
-def _coefficients(J: Array, detKa: float) -> tuple[float, float]:
-    """(alpha, beta) of p(z) = det(Ka) det(z I - J)."""
+    J = field.jac(_checked_zero(field, _line_directions(params)[i - 1]))
     tr = np.trace(J)
     # + 0.0 turns the -0.0 of a vanishing trace into 0.0
-    return float(-detKa * tr + 0.0), float(detKa * 0.5 * (tr * tr - np.trace(J @ J)))
-
-
-def stability_coefficients(params: SuslovParams, i: int) -> tuple[float, float]:
-    """Coefficients (alpha, beta) of p(z) = det(Ka) det(z I - J(v_i))."""
-    _, J, detKa = _linearization(params, i)
-    return _coefficients(J, detKa)
+    return float(-mats.detKa * tr + 0.0), float(mats.detKa * 0.5 * (tr * tr - np.trace(J @ J)))
 
 
 def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[float, float]:
@@ -152,9 +142,11 @@ def stability_coefficients_closed_form(params: SuslovParams, i: int) -> tuple[fl
 
 
 def classify(params: SuslovParams, i: int) -> EquilibriumReport:
-    """Classify +-v_i by the module docstring's table of sign(a1), sign(a2)."""
-    v, J, detKa = _linearization(params, i)
-    alpha, beta = _coefficients(J, detKa)
+    """Classify +-v_i by the module docstring's table of sign(a1), sign(a2),
+    and report the closed-form alpha and beta whose signs it is."""
+    # the closed forms check i first: i = 0 would index line 3
+    alpha, beta = stability_coefficients_closed_form(params, i)
+    v = _checked_zero(vector_field(params), _line_directions(params)[i - 1])
     s1, s2 = ((a > 0.0) - (a < 0.0) for a in (params.a1, params.a2))
     # sign(alpha_i) as a product of signs: a1 a2 itself underflows to 0
     sink = -s2 if i == 1 else -s1 * s2

@@ -893,7 +893,8 @@ def _trajectory_matches_field(field: VectorFieldSpec, traj: Trajectory) -> bool:
     reconstructing with mismatched parameters)."""
     t0, t1 = traj.times[0], traj.times[-1]
     span = t1 - t0
-    delta = 1e-6 * max(span, 1.0)
+    # at most a tenth of the span, so every probe +- delta stays inside it
+    delta = min(1e-6 * max(abs(span), 1.0), 0.1 * abs(span))
     probes = t0 + span * np.array([0.21, 0.43, 0.58, 0.71, 0.88])
     for t in probes:
         x = traj.dense(t)
@@ -973,7 +974,10 @@ def sample_ellipsoid(params: SuslovParams, eta: float, count: int, seed: int) ->
     rng = seeded_generator(seed)
     g = rng.standard_normal((count, 3))
     y = np.sqrt(2.0 * eta) * g / _row_norms(g)[:, None]
-    return np.linalg.solve(L.T, y.T).T
+    samples = np.linalg.solve(L.T, y.T).T
+    if not np.isfinite(samples).all():
+        raise ValueError(f"eta = {eta!r} is too large: the samples on E = eta are not finite")
+    return samples
 
 
 @dataclass(frozen=True)

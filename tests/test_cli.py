@@ -217,13 +217,16 @@ class TestRobustnessSweep:
         assert self._exit_code(argv, capsys) in codes
 
     def test_high_a_set_is_analyzed(self, tmp_path, capsys):
-        # the float beta_3 reads -7.3e-7 here against the exact +2.3e-7
+        # the J route's float beta_3 reads -7.3e-7 here; the report carries
+        # the closed form, +2.3e-7
         f = tmp_path / "p.json"
         f.write_text(json.dumps(_HIGH_A))
         out = tmp_path / "a.json"
         assert self._exit_code(["analyze", "--params", str(f), "--out", str(out)], capsys) == 0
-        kinds = [e["classification"] for e in _load_report(out)["equilibria"]]
-        assert kinds == ["SourceSinkPair", "Saddle", "SourceSinkPair"]
+        lines = _load_report(out)["equilibria"]
+        assert [e["classification"] for e in lines] == [
+            "SourceSinkPair", "Saddle", "SourceSinkPair"]
+        assert lines[2]["beta"] > 0.0
 
     def test_simulate_past_its_budget_is_refused_early_with_the_projection(self, tmp_path,
                                                                           capsys):
@@ -351,6 +354,14 @@ class TestSimulate:
         F, log_F = doc["columns"].index("F"), doc["columns"].index("log_abs_F")
         assert len(doc["rows"]) == 3
         assert all(row[F] is None and math.isfinite(row[log_F]) for row in doc["rows"])
+
+    def test_reconstruct_short_run(self, params_file, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--params", params_file("p", 1.0, 1.0),
+                     "--omega0", "0.3,-0.4,0.5", "--T", "1e-8", "--samples", "3",
+                     "--reconstruct", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert rows.shape[0] == 3
 
     def test_reconstruct_theta_column(self, params_file, tmp_path):
         out = tmp_path / "s.csv"
@@ -542,6 +553,8 @@ class TestPortrait:
         ("--T=nan", "--T must be finite and positive"),
         ("--T=inf", "--T must be finite and positive"),
         ("--tol=0", "tol must be finite and positive"),
+        # 2 eta overflows, so no sample on E = 1e308 is finite
+        ("--eta=1e308", "eta = 1e+308 is too large"),
         # ids kept from when the eta message read "positive and finite"
         pytest.param("--eta=-1", "eta must be finite and positive, got -1.0",
                      id="--eta=-1-eta must be positive"),

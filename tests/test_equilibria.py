@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -22,6 +24,10 @@ from conftest import admissible_draws, divergence_closed_form, draw_params
 
 def _sign(x):
     return (x > 0) - (x < 0)
+
+
+def _bits(xs):
+    return np.array(xs, dtype=float).view(np.int64).tolist()
 
 
 def exact_lines(p, flip=False):
@@ -427,11 +433,37 @@ class TestSignLemma:
             assert (r.classification, r.sink_sign) == (Classification.SOURCE_SINK_PAIR, -1)
 
     def test_where_the_float_beta_cancels(self):
-        # at a = 1e9 the float beta is 0.0 on every line against the exact
-        # 1.8e19, -4.9e18 and 3.75; the class does not read it
+        # at a = 1e9 the J route's float beta is 0.0 on every line, while
+        # classify reports the closed forms 1.8e19, -4.9e18 and 3.75
         p = validate(3.0, 2.0, 1.0, 0.5, 1.0, a1=1e9, a2=1e9)
         assert sign_lemma_failures(p) == []
+        assert [stability_coefficients(p, i)[1] for i in (1, 2, 3)] == [0.0, 0.0, 0.0]
         reports = [classify(p, i) for i in (1, 2, 3)]
-        assert [r.beta for r in reports] == [0.0, 0.0, 0.0]
+        assert [r.beta for r in reports] == [1.8125e19, -4.875e18, 3.75]
         assert [r.classification.value for r in reports] == [
             "SourceSinkPair", "Saddle", "SourceSinkPair"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_classify_reports_the_closed_forms(self, seed):
+        # bit for bit, with the table's sign of beta on every line and of
+        # alpha, the sink's side, on every source-sink line
+        for doc in admissible_draws(seed, 300):
+            p = validate(**doc)
+            for i, (sb, sa) in enumerate(sign_table(p), start=1):
+                r = classify(p, i)
+                cf = stability_coefficients_closed_form(p, i)
+                assert _bits((r.alpha, r.beta)) == _bits(cf), (doc, i)
+                assert _sign(r.beta) == sb, (doc, i)
+                if r.classification is Classification.SOURCE_SINK_PAIR:
+                    assert _sign(r.alpha) == sa == r.sink_sign, (doc, i)
+
+    def test_classify_forms_no_jacobian(self):
+        # the J route runs only as the oracle: classify calls no Jacobian,
+        # no trace and none of the J route's functions, and multiplies no
+        # matrices
+        tree = ast.parse(inspect.getsource(classify))
+        called = {ast.unparse(node.func).rpartition(".")[2]
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & {"jac", "trace", "stability_coefficients",
+                             "_linearization", "_coefficients"}, called
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))

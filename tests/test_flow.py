@@ -328,6 +328,15 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(pstar_full, traj)
 
+    @pytest.mark.parametrize("T", [1e-8, 1e-9])
+    def test_short_run_is_checked_inside_its_span(self, pstar, pstar_full, T):
+        # the field check's central differences stay inside a short span,
+        # so the run's own parameters pass and mismatched ones still fail
+        traj = simulate(pstar_full, np.array([0.3, -0.4, 0.5]), T)
+        assert reconstruct(pstar_full, traj).times[-1] == T
+        with pytest.raises(ValueError, match="inconsistent with the supplied parameters"):
+            reconstruct(pstar, traj)
+
     def test_one_state_rhs_is_its_batch_row(self, pstar_full, rng, monkeypatch):
         # the stepping calls the rhs on one state and the dense output on a
         # batch, so the two must round alike, row by row
@@ -664,6 +673,13 @@ class TestSampleEllipsoid:
                 sample_ellipsoid(pstar_full, eta, 5, seed=1)
             with pytest.raises(ValueError, match="eta must be finite and positive"):
                 suslov_attractor_probe(pstar_full, eta=eta, samples=5, T=1.0)
+
+    def test_energy_level_whose_samples_overflow_is_named(self, pstar_full):
+        # 2 eta overflows at eta = 1e308, so the samples would all be nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"eta = 1e\+308 is too large"):
+                sample_ellipsoid(pstar_full, 1e308, 3, seed=0)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_is_named(self, pstar, count):
